@@ -1,9 +1,12 @@
 """Pseudo-metrics with exact rational distances, systems, chains, metrization.
 
-Distances are fractions.Fraction throughout; every comparison is exact,
-so strict ball thresholds never suffer float ties.  Internally each table
-is also kept as an integer grid over a common denominator, which makes
-the triangle checks cheap enough for large random suites.
+Distances are exact rationals; every comparison is exact, so strict ball
+thresholds never suffer float ties.  Each table is kept as an integer grid
+over one common denominator (`scale`) next to its public `Fraction` form
+(`dist`).  Checks and read-outs run on the grid: the triangle inequality
+is decided on packed grid rows, one big-int expression per pair of points,
+and `values()` and `to_json()` build `Fraction`s or "p/q" strings only for
+the distinct grid values.
 """
 
 from __future__ import annotations
@@ -29,8 +32,48 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"distance {value!r} has a zero denominator") from None
     raise ValueError(f"distance {value!r} is not an exact rational")
+
+
+def _triangle_failure(grid: Sequence[Sequence[int]]) -> tuple[int, int, int] | None:
+    """First (z, x, y) with y > x and grid[x][y] > grid[x][z] + grid[z][y].
+
+    The grid must already be symmetric, nonnegative and zero on the
+    diagonal.  Each row is packed into one int, one field of width w per
+    column, with a guard bit set at the top of every field.  For a pair
+    (z, x) the expression
+
+        (packed[z] | guards) + grid[z][x] * ones - packed[x]
+
+    holds guard + grid[z][x] + grid[z][y] - grid[x][y] in field y.  Entries
+    are at most m and w - 1 = (2m).bit_length(), so every field stays in
+    [guard - m, guard + 2m] with no carry or borrow between fields, and the
+    guard bit of field y is cleared exactly when the triangle through z
+    fails for (x, y).  Scanning z, then x, the first pair with a cleared
+    guard only fails for y > x (a failure at y < x is the same triangle as
+    one found earlier at the pair (z, y)), and its lowest cleared guard is
+    the first y of a (z, x, y > x) scan.  With one big-int expression per
+    pair the check takes O(n^2) Python steps.
+    """
+    n = len(grid)
+    w = (2 * max(map(max, grid))).bit_length() + 1
+    bits = {v: format(v, f"0{w}b") for v in set().union(*grid)}
+    packed = [int("".join(map(bits.__getitem__, reversed(row))), 2) for row in grid]
+    ones = int(("0" * (w - 1) + "1") * n, 2)
+    guards = ones << (w - 1)
+    for z in range(n):
+        biased = packed[z] | guards
+        gz = grid[z]
+        for x in range(n):
+            kept = (biased + gz[x] * ones - packed[x]) & guards
+            if kept != guards:
+                cleared = guards ^ kept
+                return z, x, ((cleared & -cleared).bit_length() - 1) // w
+    return None
 
 
 class Pseudometric:
@@ -43,7 +86,7 @@ class Pseudometric:
         if len(dist) != n or any(len(row) != n for row in dist):
             raise ValueError("distance table must be n x n")
         table = tuple(tuple(_as_fraction(v) for v in row) for row in dist)
-        scale = math.lcm(*(v.denominator for row in table for v in row))
+        scale = math.lcm(*{v.denominator for row in table for v in row})
         grid = tuple(
             tuple(v.numerator * (scale // v.denominator) for v in row) for row in table
         )
@@ -55,16 +98,10 @@ class Pseudometric:
                     raise ValueError(f"asymmetric distances at ({x},{y})")
                 if grid[x][y] < 0:
                     raise ValueError(f"negative distance at ({x},{y})")
-        for z in range(n):
-            gz = grid[z]
-            for x in range(n):
-                gxz = grid[x][z]
-                gx = grid[x]
-                for y in range(x + 1, n):
-                    if gx[y] > gxz + gz[y]:
-                        raise ValueError(
-                            f"triangle inequality fails at ({x},{y}) via {z}"
-                        )
+        failure = _triangle_failure(grid)
+        if failure is not None:
+            z, x, y = failure
+            raise ValueError(f"triangle inequality fails at ({x},{y}) via {z}")
         self.carrier = carrier
         self.dist = table
         self.scale = scale
@@ -79,16 +116,17 @@ class Pseudometric:
 
     def values(self) -> list[Fraction]:
         """Distinct positive distances, ascending."""
-        out = {v for row in self.dist for v in row if v > 0}
-        return sorted(out)
+        positive = {g for row in self.grid for g in row if g > 0}
+        return [Fraction(g, self.scale) for g in sorted(positive)]
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "dist": [
-                [f"{v.numerator}/{v.denominator}" for v in row] for row in self.dist
-            ],
-        }
+        """Each distinct grid value is rendered once as a reduced "p/q"."""
+        scale = self.scale
+        text = {}
+        for g in {g for row in self.grid for g in row}:
+            c = math.gcd(g, scale)
+            text[g] = f"{g // c}/{scale // c}"
+        return {"n": self.n, "dist": [[text[g] for g in row] for row in self.grid]}
 
     @classmethod
     def from_json(cls, obj: dict) -> "Pseudometric":

@@ -121,6 +121,12 @@ class TestValidate:
         assert code == 2
         assert "cannot detect" in obj["error"]
 
+    def test_zero_denominator_exit_two(self, capsys):
+        payload = '{"n": 2, "dist": [["0", "1/0"], ["1/0", "0"]]}'
+        code, obj = run(capsys, "validate", "--in", payload)
+        assert code == 2
+        assert "zero denominator" in obj["error"]
+
     def test_bad_field_named(self, capsys):
         code, obj = run(capsys, "validate", "--in", '{"n": 3, "pairs": [[0]]}')
         assert code == 2

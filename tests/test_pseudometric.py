@@ -64,6 +64,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             pm([[0, -1, 1], [-1, 0, 1], [1, 1, 0]])
 
+    def test_zero_denominator_is_a_value_error(self):
+        with pytest.raises(ValueError, match="zero denominator"):
+            pm([[0, "1/0"], ["1/0", 0]], n=2)
+
     def test_accepts_strings_and_fractions(self):
         d = pm([[0, "1/2", Fraction(1, 2)], ["1/2", 0, "1/2"], [Fraction(1, 2), "1/2", 0]])
         assert d.d(0, 1) == Fraction(1, 2)
@@ -372,3 +376,180 @@ class TestJson:
     def test_bad_dist_field(self):
         with pytest.raises(ValueError, match="dist"):
             Pseudometric.from_json({"n": 2, "dist": "nope"})
+
+
+# The triangle check runs on packed grid rows; these tests hold it to the
+# oracle and to a plain (z, x, y > x) scan over Fractions, and hold the
+# grid-based values(), thresholds() and to_json() to their Fraction forms.
+
+
+def reference_triangle_message(dist):
+    n = len(dist)
+    for z in range(n):
+        for x in range(n):
+            for y in range(x + 1, n):
+                if dist[x][y] > dist[x][z] + dist[z][y]:
+                    return f"triangle inequality fails at ({x},{y}) via {z}"
+    return None
+
+
+def assert_kernel_matches_reference(table):
+    dist = [[Fraction(v) for v in row] for row in table]
+    expected = reference_triangle_message(dist)
+    assert check_pseudometric(dist) == (expected is None)
+    if expected is None:
+        assert Pseudometric(Carrier(len(dist)), dist).dist == tuple(map(tuple, dist))
+    else:
+        with pytest.raises(ValueError) as exc:
+            Pseudometric(Carrier(len(dist)), dist)
+        assert str(exc.value) == expected
+
+
+def shortest_path_metric(rng, n, weight):
+    """Path metric of the complete graph with random edge weights."""
+    d = [[Fraction(0)] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(x + 1, n):
+            d[x][y] = d[y][x] = weight(rng)
+    for z in range(n):
+        for x in range(n):
+            for y in range(n):
+                if d[x][z] + d[z][y] < d[x][y]:
+                    d[x][y] = d[x][z] + d[z][y]
+    return d
+
+
+def small_weight(rng):
+    if rng.random() < 0.1:
+        return Fraction(0)
+    return Fraction(rng.randint(1, 12), rng.choice([1, 2, 3, 4, 6, 9]))
+
+
+BIG_DENOMINATORS = [2**61 - 1, 2**31 - 1, 10**9 + 7, 998244353]
+
+
+def big_weight(rng):
+    return Fraction(rng.randint(1, 10**6), rng.choice(BIG_DENOMINATORS))
+
+
+def break_triangle(rng, d):
+    """Copy of d with one pair pushed past a two-step path through some z."""
+    n = len(d)
+    x, y, z = rng.sample(range(n), 3)
+    out = [row[:] for row in d]
+    out[x][y] = out[y][x] = d[x][z] + d[z][y] + Fraction(1, rng.randint(1, 5))
+    return out
+
+
+def scramble_entry(rng, d):
+    """Copy of d with one pair set to a random value; it may stay a metric."""
+    n = len(d)
+    x, y = rng.sample(range(n), 2)
+    out = [row[:] for row in d]
+    top = max(map(max, d)) or Fraction(1)
+    out[x][y] = out[y][x] = top * Fraction(rng.randint(0, 8), 4)
+    return out
+
+
+class TestTriangleKernel:
+    def test_ultrametrics_and_broken_copies(self):
+        rng = random.Random(2024)
+        for _ in range(150):
+            n = rng.randint(3, 12)
+            d = [list(row) for row in random_ultrametric(rng, n).dist]
+            assert_kernel_matches_reference(d)
+            assert_kernel_matches_reference(break_triangle(rng, d))
+            assert_kernel_matches_reference(scramble_entry(rng, d))
+
+    def test_path_metrics_and_broken_copies(self):
+        rng = random.Random(7)
+        for _ in range(150):
+            n = rng.randint(3, 12)
+            d = shortest_path_metric(rng, n, small_weight)
+            assert_kernel_matches_reference(d)
+            assert_kernel_matches_reference(break_triangle(rng, d))
+            assert_kernel_matches_reference(scramble_entry(rng, d))
+
+    def test_random_tables_fail_where_the_scan_fails(self):
+        rng = random.Random(99)
+        for _ in range(300):
+            n = rng.randint(2, 9)
+            d = [[0] * n for _ in range(n)]
+            for x in range(n):
+                for y in range(x + 1, n):
+                    d[x][y] = d[y][x] = rng.randint(0, 6)
+            assert_kernel_matches_reference(d)
+
+    def test_single_point_and_all_zero(self):
+        assert_kernel_matches_reference([[0]])
+        for n in (1, 2, 5, 17):
+            assert_kernel_matches_reference([[0] * n for _ in range(n)])
+            zero = pm([["0/1"] * n for _ in range(n)], n=n)
+            assert zero.values() == [] and thresholds(zero) == [Fraction(1)]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 8, 16, 31, 32, 63, 64, 65])
+    @pytest.mark.parametrize("top", ["2^k-1", "2^k"])
+    def test_maximum_at_a_field_width_boundary(self, k, top):
+        m = 2**k - 1 if top == "2^k-1" else 2**k
+        rng = random.Random(k)
+        for _ in range(20):
+            n = rng.randint(3, 9)
+            d = [[0] * n for _ in range(n)]
+            for x in range(n):
+                for y in range(x + 1, n):
+                    d[x][y] = d[y][x] = rng.choice([m, m, m - 1, (m + 1) // 2, m // 2, 0])
+            x, y = rng.sample(range(n), 2)
+            d[x][y] = d[y][x] = m
+            assert_kernel_matches_reference(d)
+        # equality at the maximum passes, one below fails
+        a = m // 2
+        assert_kernel_matches_reference([[0, a, m], [a, 0, m - a], [m, m - a, 0]])
+        assert_kernel_matches_reference([[0, a, m], [a, 0, m - a - 1], [m, m - a - 1, 0]])
+
+    def test_scale_above_two_to_the_64(self):
+        rng = random.Random(64)
+        largest = 0
+        for _ in range(40):
+            n = rng.randint(3, 10)
+            d = shortest_path_metric(rng, n, big_weight)
+            largest = max(largest, Pseudometric(Carrier(n), d).scale)
+            assert_kernel_matches_reference(d)
+            assert_kernel_matches_reference(break_triangle(rng, d))
+            assert_kernel_matches_reference(scramble_entry(rng, d))
+        assert largest > 2**64
+
+
+def seeded_tables():
+    from ultrauniform.cli import padic_pseudometric
+
+    rng = random.Random(5)
+    tables = [pm([[0]], n=1), ZERO3, padic_pseudometric(2, 16), padic_pseudometric(3, 27)]
+    for _ in range(40):
+        n = rng.randint(2, 10)
+        tables.append(random_ultrametric(rng, n))
+        tables.append(Pseudometric(Carrier(n), shortest_path_metric(rng, n, small_weight)))
+        tables.append(Pseudometric(Carrier(n), shortest_path_metric(rng, n, big_weight)))
+        tables.append(sup_pm([random_ultrametric(rng, n), random_ultrametric(rng, n)]))
+    return tables
+
+
+class TestGridReadOuts:
+    def test_values_and_thresholds_equal_fraction_forms(self):
+        for d in seeded_tables():
+            expected = sorted({v for row in d.dist for v in row if v > 0})
+            assert d.values() == expected
+            assert all(type(v) is Fraction for v in d.values())
+            radii = expected + [expected[-1] + 1] if expected else [Fraction(1)]
+            assert thresholds(d) == radii
+
+    def test_to_json_equals_fraction_rendering_byte_for_byte(self):
+        import json
+
+        from ultrauniform.jsonio import dumps
+
+        for d in seeded_tables():
+            dist = [[f"{v.numerator}/{v.denominator}" for v in row] for row in d.dist]
+            assert d.to_json() == {"n": d.n, "dist": dist}
+            expected = json.dumps({"n": d.n, "dist": dist}, indent=2, sort_keys=True) + "\n"
+            assert dumps(d) == expected
+            assert Pseudometric.from_json(d.to_json()) == d
