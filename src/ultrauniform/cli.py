@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from .core import Carrier, CarrierMismatch, Relation, ValidationError
 from .jsonio import dumps, structure_from_json
-from .oracle import DEFAULT_SEED, EnumerationSpec, theorem_sweep
 from .pseudometric import (
     Pseudometric,
     metrize,
@@ -98,7 +97,7 @@ def ideal_chain_basis(modulus: int, ideal: int, depth: int) -> DiagonalBasis:
 
 
 def _read_input(raw: str) -> dict:
-    if raw.lstrip().startswith("{"):
+    if raw.lstrip().startswith(("{", "[")):
         text = raw
     elif raw == "-":
         text = sys.stdin.read()
@@ -196,6 +195,9 @@ def _cmd_roundtrip(structure) -> tuple[int, dict]:
 
 
 def _cmd_sweep(args) -> tuple[int, dict]:
+    # the brute-force oracle is loaded only here, so the other verbs start faster
+    from .oracle import DEFAULT_SEED, EnumerationSpec, theorem_sweep
+
     sampled = args.trials is not None or args.seed is not None
     seed = args.seed
     if sampled and seed is None:

@@ -170,7 +170,8 @@ class Relation:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Relation":
-        carrier = Carrier(_expect_int(obj, "n"))
+        n = _expect_int(obj, "n")
+        carrier = Carrier(n)
         pairs = obj.get("pairs")
         if not isinstance(pairs, list):
             raise ValueError("field 'pairs' must be a list of [i, j] pairs")
@@ -178,7 +179,9 @@ class Relation:
         for k, p in enumerate(pairs):
             if not (isinstance(p, list) and len(p) == 2):
                 raise ValueError(f"field 'pairs[{k}]' must be a two-element list")
-            checked.append((p[0], p[1]))
+            checked.append(
+                (_expect_point(p[0], n, f"pairs[{k}][0]"), _expect_point(p[1], n, f"pairs[{k}][1]"))
+            )
         return cls.from_pairs(carrier, checked)
 
     def __eq__(self, other) -> bool:
@@ -319,11 +322,8 @@ class Partition:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Partition":
-        carrier = Carrier(_expect_int(obj, "n"))
-        blocks = obj.get("blocks")
-        if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
-            raise ValueError("field 'blocks' must be a list of lists of points")
-        return cls(carrier, blocks)
+        n = _expect_int(obj, "n")
+        return cls(Carrier(n), _expect_point_lists(obj.get("blocks"), n, "blocks"))
 
     def __eq__(self, other) -> bool:
         return (
@@ -381,3 +381,20 @@ def _expect_int(obj: dict, field: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"field '{field}' must be an integer")
     return value
+
+
+def _expect_point(value, n: int, field: str) -> int:
+    """A point index read from JSON: an int (not a bool) in 0..n-1."""
+    if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value < n:
+        raise ValueError(f"field '{field}' must be a point index in 0..{n - 1}, got {value!r}")
+    return value
+
+
+def _expect_point_lists(value, n: int, field: str) -> list[list[int]]:
+    """A JSON list of lists of point indices, each checked by `_expect_point`."""
+    if not isinstance(value, list) or not all(isinstance(s, list) for s in value):
+        raise ValueError(f"field '{field}' must be a list of lists of points")
+    return [
+        [_expect_point(x, n, f"{field}[{i}][{j}]") for j, x in enumerate(s)]
+        for i, s in enumerate(value)
+    ]

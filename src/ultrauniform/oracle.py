@@ -9,11 +9,9 @@ given their seed.
 from __future__ import annotations
 
 import random
-import time
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .core import (
     Carrier,
@@ -52,14 +50,11 @@ from .uniformity import (
 
 DEFAULT_SEED = 1729
 
-EXHAUSTIVE_KINDS = ("partitions", "topologies", "equivalence_bases", "uniformities", "valid_cover_bases")
-
 MAX_TOPOLOGY_POINTS = 4
 MAX_SAMPLED_POINTS = 8
 
 
-@dataclass(frozen=True)
-class EnumerationSpec:
+class EnumerationSpec(NamedTuple):
     kind: str
     n: int
     max_generators: int = 3
@@ -68,8 +63,7 @@ class EnumerationSpec:
     seed: Optional[int] = None
 
 
-@dataclass
-class SweepReport:
+class SweepReport(NamedTuple):
     theorem: str
     n: int
     checked: int
@@ -77,19 +71,9 @@ class SweepReport:
     discrepancies: int
     first_counterexample: Optional[object]
     seed: Optional[int]
-    ms: int
 
     def to_json(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "n": self.n,
-            "checked": self.checked,
-            "satisfying": self.satisfying,
-            "discrepancies": self.discrepancies,
-            "first_counterexample": self.first_counterexample,
-            "seed": self.seed,
-            "ms": self.ms,
-        }
+        return self._asdict()
 
 
 def bell_number(n: int) -> int:
@@ -549,7 +533,6 @@ def theorem_sweep(theorem_id: str, spec: EnumerationSpec) -> SweepReport:
     if canonical not in SWEEP_DESCRIPTIONS:
         known = sorted(SWEEP_DESCRIPTIONS) + sorted(SWEEP_ALIASES)
         raise ValueError(f"unknown sweep {theorem_id!r}; expected one of {known}")
-    start = time.perf_counter()
     checked = satisfying = discrepancies = 0
     first: Optional[object] = None
 
@@ -606,7 +589,6 @@ def theorem_sweep(theorem_id: str, spec: EnumerationSpec) -> SweepReport:
                 if first is None:
                     first = {"cover_basis": cb.to_json(), "problem": problem}
 
-    ms = int((time.perf_counter() - start) * 1000)
     return SweepReport(
         theorem=canonical,
         n=spec.n,
@@ -615,5 +597,4 @@ def theorem_sweep(theorem_id: str, spec: EnumerationSpec) -> SweepReport:
         discrepancies=discrepancies,
         first_counterexample=first,
         seed=spec.seed,
-        ms=ms,
     )

@@ -58,13 +58,10 @@ class FiniteTopology:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FiniteTopology":
-        from .core import _expect_int
+        from .core import _expect_int, _expect_point_lists
 
-        carrier = Carrier(_expect_int(obj, "n"))
-        opens = obj.get("opens")
-        if not isinstance(opens, list) or not all(isinstance(o, list) for o in opens):
-            raise ValueError("field 'opens' must be a list of lists of points")
-        return cls(carrier, opens)
+        n = _expect_int(obj, "n")
+        return cls(Carrier(n), _expect_point_lists(obj.get("opens"), n, "opens"))
 
     def __eq__(self, other) -> bool:
         return (

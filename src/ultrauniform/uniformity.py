@@ -197,17 +197,16 @@ class CoverBasis:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CoverBasis":
-        from .core import _expect_int
+        from .core import _expect_int, _expect_point_lists
 
-        carrier = Carrier(_expect_int(obj, "n"))
+        n = _expect_int(obj, "n")
+        carrier = Carrier(n)
         raw = obj.get("covers")
         if not isinstance(raw, list) or not raw:
             raise ValueError("field 'covers' must be a nonempty list of covers")
-        covers = []
-        for k, item in enumerate(raw):
-            if not isinstance(item, list) or not all(isinstance(s, list) for s in item):
-                raise ValueError(f"field 'covers[{k}]' must be a list of lists of points")
-            covers.append(Cover(carrier, item))
+        covers = [
+            Cover(carrier, _expect_point_lists(item, n, f"covers[{k}]")) for k, item in enumerate(raw)
+        ]
         return cls(carrier, covers)
 
     def __eq__(self, other) -> bool:

@@ -1,6 +1,10 @@
 """The command-line surface: verbs, exit codes, and determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -132,6 +136,28 @@ class TestValidate:
         assert code == 2
         assert "pairs" in obj["error"]
 
+    @pytest.mark.parametrize(
+        "verb, payload, field",
+        [
+            ("validate", '{"n": 2, "pairs": [[0.5, 1]]}', "pairs[0][0]"),
+            ("check-na", '{"n": 2, "entourages": [{"n": 2, "pairs": [[0, 0], [1, "1"]]}]}',
+             "pairs[1][1]"),
+            ("validate", '{"n": 2, "blocks": [[0, 1.0]]}', "blocks[0][1]"),
+            ("validate", '{"n": 2, "pairs": [[true, 1]]}', "pairs[0][0]"),
+            ("topo-check", '{"n": 2, "opens": [[], [-1], [0, 1]]}', "opens[1][0]"),
+            ("validate", '{"n": 2, "covers": [[[0], [1, 2]]]}', "covers[0][1][1]"),
+        ],
+    )
+    def test_bad_point_index_exit_two(self, capsys, verb, payload, field):
+        code, obj = run(capsys, verb, "--in", payload)
+        assert code == 2
+        assert f"field '{field}' must be a point index in 0..1" in obj["error"]
+
+    def test_inline_json_array_is_read_as_json(self, capsys):
+        code, obj = run(capsys, "validate", "--in", "[1, 2]")
+        assert code == 2
+        assert obj == {"error": "expected a JSON object"}
+
 
 class TestConvertAndRoundtrip:
     def test_convert_both_ways_through_files(self, capsys, tmp_path):
@@ -240,6 +266,59 @@ class TestDeterminism:
         main(["convert", "--in", BASIS_JSON, "--to", "cover"])
         second = capsys.readouterr().out
         assert first == second
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--theorem", "T2.4", "--n", "4", "--trials", "5", "--seed", "7"],
+            ["sweep", "--theorem", "T3.2", "--n", "3"],
+        ],
+    )
+    def test_sweep_deterministic(self, capsys, argv):
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert main(argv) == 0
+        second = capsys.readouterr().out
+        assert first == second
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def fresh_python(*args):
+    """Run a new interpreter with only the package's src/ on PYTHONPATH."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+def loaded_modules(statement):
+    """Modules a fresh interpreter has loaded after running `statement`."""
+    probe = fresh_python("-c", f"import sys\n{statement}\nprint('\\n'.join(sys.modules))")
+    assert probe.returncode == 0, probe.stderr
+    return set(probe.stdout.split())
+
+
+class TestStartup:
+    def test_cli_import_skips_oracle_and_dataclasses(self):
+        bare = loaded_modules("pass")
+        loaded = loaded_modules("import ultrauniform.cli") - bare
+        assert "ultrauniform.cli" in loaded
+        assert "ultrauniform.oracle" not in loaded
+        assert "dataclasses" not in loaded
+
+    def test_oracle_import_skips_dataclasses(self):
+        bare = loaded_modules("pass")
+        loaded = loaded_modules("import ultrauniform.oracle") - bare
+        assert "ultrauniform.oracle" in loaded
+        assert "dataclasses" not in loaded
+
+    def test_sweep_runs_in_a_subprocess(self):
+        proc = fresh_python("-m", "ultrauniform.cli", "sweep", "--theorem", "T3.2", "--n", "2")
+        assert proc.returncode == 0, proc.stderr
+        obj = json.loads(proc.stdout)
+        assert (obj["checked"], obj["satisfying"], obj["discrepancies"]) == (4, 2, 0)
 
 
 class TestGeneratorHelpers:

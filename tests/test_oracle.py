@@ -78,6 +78,14 @@ class TestEnumerateStructures:
         spec = EnumerationSpec(kind="partitions", n=3)
         assert sum(1 for _ in enumerate_structures(spec)) == 5
 
+    def test_spec_defaults_immutable_and_hashable(self):
+        spec = EnumerationSpec(kind="partitions", n=3)
+        assert (spec.max_generators, spec.max_covers, spec.limit, spec.seed) == (3, 2, None, None)
+        assert spec == EnumerationSpec("partitions", 3)
+        assert len({spec, EnumerationSpec(kind="partitions", n=3)}) == 1
+        with pytest.raises(AttributeError):
+            spec.n = 4
+
     def test_limit(self):
         spec = EnumerationSpec(kind="topologies", n=3, limit=10)
         assert sum(1 for _ in enumerate_structures(spec)) == 10
@@ -188,7 +196,6 @@ class TestSweeps:
             "discrepancies",
             "first_counterexample",
             "seed",
-            "ms",
         }
 
 
