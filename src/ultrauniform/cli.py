@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .core import Carrier, CarrierMismatch, Relation, ValidationError
 from .jsonio import dumps, structure_from_json
@@ -55,19 +54,21 @@ def padic_valuation(x: int, p: int) -> int:
 
 
 def padic_pseudometric(p: int, size: int) -> Pseudometric:
-    """d(x,y) = p**(-v_p(x-y)) on the carrier {0..size-1}, d(x,x) = 0."""
+    """d(x,y) = p**(-v_p(x-y)) on the carrier {0..size-1}, d(x,x) = 0.
+
+    Over the denominator scale = p**e, the largest power of p below size,
+    every distance is the integer scale // p**v_p(gap), one per gap |x-y|.
+    """
     if p < 2:
         raise ValueError("base must be at least 2")
     if size < 1:
         raise ValueError("size must be positive")
-    carrier = Carrier(size)
-    dist = [[Fraction(0)] * size for _ in range(size)]
-    for x in range(size):
-        for y in range(x + 1, size):
-            value = Fraction(1, p ** padic_valuation(x - y, p))
-            dist[x][y] = value
-            dist[y][x] = value
-    return Pseudometric(carrier, dist)
+    scale = 1
+    while scale * p < size:
+        scale *= p
+    by_gap = [0] + [scale // p ** padic_valuation(gap, p) for gap in range(1, size)]
+    grid = [by_gap[x:0:-1] + by_gap[: size - x] for x in range(size)]
+    return Pseudometric._from_grid(Carrier(size), grid, scale)
 
 
 def congruence_relation(modulus: int, step: int) -> Relation:

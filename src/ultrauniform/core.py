@@ -398,3 +398,23 @@ def _expect_point_lists(value, n: int, field: str) -> list[list[int]]:
         [_expect_point(x, n, f"{field}[{i}][{j}]") for j, x in enumerate(s)]
         for i, s in enumerate(value)
     ]
+
+
+def _expect_members(obj: dict, field: str, kind: str, decode) -> list:
+    """Decode each object of the nonempty JSON list obj[field] with `decode`.
+
+    A member that is not an object is refused as `field[k]`, and an error
+    inside member k is reported after the prefix "field[k]: ".
+    """
+    raw = obj.get(field)
+    if not isinstance(raw, list) or not raw:
+        raise ValueError(f"field '{field}' must be a nonempty list of {kind}s")
+    members = []
+    for k, item in enumerate(raw):
+        if not isinstance(item, dict):
+            raise ValueError(f"field '{field}[{k}]' must be a {kind} object")
+        try:
+            members.append(decode(item))
+        except ValueError as exc:
+            raise ValueError(f"{field}[{k}]: {exc}") from None
+    return members

@@ -1,12 +1,15 @@
 """Pseudo-metrics with exact rational distances, systems, chains, metrization.
 
 Distances are exact rationals; every comparison is exact, so strict ball
-thresholds never suffer float ties.  Each table is kept as an integer grid
-over one common denominator (`scale`) next to its public `Fraction` form
-(`dist`).  Checks and read-outs run on the grid: the triangle inequality
-is decided on packed grid rows, one big-int expression per pair of points,
-and `values()` and `to_json()` build `Fraction`s or "p/q" strings only for
-the distinct grid values.
+thresholds never suffer float ties.  A table is stored only as an integer
+grid over one common denominator (`scale`), in lowest terms: `scale` is the
+lcm of the reduced denominators, so equal tables have equal grids.  The
+library's own builders (`sup_pm`, `chain_pm`, the p-adic generator) write
+grids directly; `Fraction`s appear only at the boundary: the public
+constructor parses them, and `dist`, `d()`, `values()` and `to_json()`
+build `Fraction`s or "p/q" strings from the grid on each call, once per
+distinct grid value.  The triangle inequality is decided on packed grid
+rows, one big-int expression per pair of points.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .uniformity import DiagonalBasis, is_non_archimedean
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -79,17 +82,33 @@ def _triangle_failure(grid: Sequence[Sequence[int]]) -> tuple[int, int, int] | N
 class Pseudometric:
     """Symmetric nonnegative distance table with zero diagonal and triangles."""
 
-    __slots__ = ("carrier", "dist", "scale", "grid")
+    __slots__ = ("carrier", "scale", "grid")
 
     def __init__(self, carrier: Carrier, dist: Sequence[Sequence]):
         n = carrier.n
         if len(dist) != n or any(len(row) != n for row in dist):
             raise ValueError("distance table must be n x n")
-        table = tuple(tuple(_as_fraction(v) for v in row) for row in dist)
+        table = [[_as_fraction(v) for v in row] for row in dist]
         scale = math.lcm(*{v.denominator for row in table for v in row})
-        grid = tuple(
-            tuple(v.numerator * (scale // v.denominator) for v in row) for row in table
-        )
+        grid = [[v.numerator * (scale // v.denominator) for v in row] for row in table]
+        self._store(carrier, grid, scale)
+
+    @classmethod
+    def _from_grid(
+        cls, carrier: Carrier, grid: Sequence[Sequence[int]], scale: int
+    ) -> "Pseudometric":
+        """The table with distances grid[x][y] / scale, checked like any other."""
+        d = cls.__new__(cls)
+        d._store(carrier, grid, scale)
+        return d
+
+    def _store(self, carrier: Carrier, grid: Sequence[Sequence[int]], scale: int) -> None:
+        # lowest terms: afterwards scale is the lcm of the reduced denominators
+        c = math.gcd(scale, *(g for row in grid for g in row))
+        if c > 1:
+            grid = [[g // c for g in row] for row in grid]
+        grid = tuple(map(tuple, grid))
+        n = carrier.n
         for x in range(n):
             if grid[x][x] != 0:
                 raise ValueError(f"nonzero self-distance at point {x}")
@@ -103,16 +122,22 @@ class Pseudometric:
             z, x, y = failure
             raise ValueError(f"triangle inequality fails at ({x},{y}) via {z}")
         self.carrier = carrier
-        self.dist = table
-        self.scale = scale
+        self.scale = scale // c
         self.grid = grid
 
     @property
     def n(self) -> int:
         return self.carrier.n
 
+    @property
+    def dist(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The table as `Fraction`s, built from the grid on each access."""
+        scale = self.scale
+        frac = {g: Fraction(g, scale) for g in {g for row in self.grid for g in row}}
+        return tuple(tuple(map(frac.__getitem__, row)) for row in self.grid)
+
     def d(self, x: int, y: int) -> Fraction:
-        return self.dist[x][y]
+        return Fraction(self.grid[x][y], self.scale)
 
     def values(self) -> list[Fraction]:
         """Distinct positive distances, ascending."""
@@ -142,11 +167,12 @@ class Pseudometric:
         return (
             isinstance(other, Pseudometric)
             and self.n == other.n
-            and self.dist == other.dist
+            and self.scale == other.scale
+            and self.grid == other.grid
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.dist))
+        return hash((self.n, self.scale, self.grid))
 
     def __repr__(self) -> str:
         return f"Pseudometric({self.n})"
@@ -173,24 +199,10 @@ def sup_pm(ds: Sequence[Pseudometric]) -> Pseudometric:
     if not ds:
         raise ValueError("sup of an empty family")
     carrier = same_carrier(*ds)
-    n = carrier.n
-    first, rest = ds[0], ds[1:]
-    if all(d.scale == first.scale for d in rest):
-        scale = first.scale
-        memo: dict[int, Fraction] = {}
-        dist = []
-        for x in range(n):
-            row = []
-            for y in range(n):
-                v = max(d.grid[x][y] for d in ds)
-                f = memo.get(v)
-                if f is None:
-                    f = memo[v] = Fraction(v, scale)
-                row.append(f)
-            dist.append(row)
-    else:
-        dist = [[max(d.dist[x][y] for d in ds) for y in range(n)] for x in range(n)]
-    return Pseudometric(carrier, dist)
+    scale = math.lcm(*(d.scale for d in ds))
+    grids = [[[g * (scale // d.scale) for g in row] for row in d.grid] for d in ds]
+    grid = [list(map(max, zip(*rows))) for rows in zip(*grids)]
+    return Pseudometric._from_grid(carrier, grid, scale)
 
 
 def ball_relation(d: Pseudometric, eps) -> Relation:
@@ -236,13 +248,10 @@ class PseudometricSystem:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PseudometricSystem":
-        from .core import _expect_int
+        from .core import _expect_int, _expect_members
 
         carrier = Carrier(_expect_int(obj, "n"))
-        raw = obj.get("metrics")
-        if not isinstance(raw, list) or not raw:
-            raise ValueError("field 'metrics' must be a nonempty list")
-        return cls(carrier, (Pseudometric.from_json(item) for item in raw))
+        return cls(carrier, _expect_members(obj, "metrics", "pseudo-metric", Pseudometric.from_json))
 
     def __eq__(self, other) -> bool:
         return (
@@ -323,13 +332,10 @@ class Chain:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Chain":
-        from .core import _expect_int
+        from .core import _expect_int, _expect_members
 
         carrier = Carrier(_expect_int(obj, "n"))
-        raw = obj.get("steps")
-        if not isinstance(raw, list) or not raw:
-            raise ValueError("field 'steps' must be a nonempty list of relations")
-        return cls(carrier, (Relation.from_json(item) for item in raw))
+        return cls(carrier, _expect_members(obj, "steps", "relation", Relation.from_json))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Chain) and self.n == other.n and self.steps == other.steps
@@ -352,7 +358,8 @@ def chain_pm(kappa: Chain) -> Pseudometric:
     steps = kappa.steps
     k = len(steps)
     n = kappa.n
-    dist = [[Fraction(0)] * n for _ in range(n)]
+    scale = math.lcm(*range(1, k))
+    grid = [[0] * n for _ in range(n)]
     for x in range(n):
         for y in range(x + 1, n):
             if steps[-1].has(x, y):
@@ -362,10 +369,8 @@ def chain_pm(kappa: Chain) -> Pseudometric:
                 if steps[i - 1].has(x, y):
                     depth = i
                     break
-            value = Fraction(1, depth)
-            dist[x][y] = value
-            dist[y][x] = value
-    return Pseudometric(kappa.carrier, dist)
+            grid[x][y] = grid[y][x] = scale // depth
+    return Pseudometric._from_grid(kappa.carrier, grid, scale)
 
 
 def system_from_na_basis(b: DiagonalBasis) -> PseudometricSystem:

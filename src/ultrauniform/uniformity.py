@@ -23,6 +23,7 @@ from .core import (
     eq_closure,
     inverse,
     mask_of,
+    refines,
     same_carrier,
     to_partition,
 )
@@ -82,20 +83,13 @@ class DiagonalBasis:
 
     @classmethod
     def from_json(cls, obj: dict) -> "DiagonalBasis":
-        from .core import _expect_int
+        from .core import _expect_int, _expect_members
 
         carrier = Carrier(_expect_int(obj, "n"))
-        raw = obj.get("entourages")
-        if not isinstance(raw, list) or not raw:
-            raise ValueError("field 'entourages' must be a nonempty list of relations")
-        rels = []
-        for k, item in enumerate(raw):
-            if not isinstance(item, dict):
-                raise ValueError(f"field 'entourages[{k}]' must be a relation object")
-            rel = Relation.from_json(item)
+        rels = _expect_members(obj, "entourages", "relation", Relation.from_json)
+        for k, rel in enumerate(rels):
             if rel.carrier != carrier:
                 raise ValueError(f"field 'entourages[{k}]' has mismatched 'n'")
-            rels.append(rel)
         return cls(carrier, rels)
 
     def __eq__(self, other) -> bool:
@@ -386,11 +380,6 @@ def finest_common_refinement(cb: CoverBasis) -> Cover:
     return Cover(cb.carrier, fam)
 
 
-def cover_refines(fine: Cover, coarse: Cover) -> bool:
-    same_carrier(fine, coarse)
-    return all(any(f & ~c == 0 for c in coarse.sets) for f in fine.sets)
-
-
 def star_refines(fine: Cover, coarse: Cover) -> bool:
     """True iff the stars of `fine` around its own sets refine `coarse`."""
     same_carrier(fine, coarse)
@@ -419,7 +408,7 @@ def validate_cover(cb: CoverBasis) -> ValidationReport:
 def covering_member(cb: CoverBasis, u: Cover) -> bool:
     """True iff u belongs to the covering uniformity generated by cb."""
     same_carrier(cb, u)
-    return cover_refines(finest_common_refinement(cb), u)
+    return refines(finest_common_refinement(cb), u)
 
 
 def covering_uniformity_equal(cb1: CoverBasis, cb2: CoverBasis) -> bool:
@@ -430,8 +419,8 @@ def covering_uniformity_equal(cb1: CoverBasis, cb2: CoverBasis) -> bool:
     validate_cover(cb2).require("cover basis")
     fin1 = finest_common_refinement(cb1)
     fin2 = finest_common_refinement(cb2)
-    return all(cover_refines(fin1, u) for u in cb2.covers) and all(
-        cover_refines(fin2, u) for u in cb1.covers
+    return all(refines(fin1, u) for u in cb2.covers) and all(
+        refines(fin2, u) for u in cb1.covers
     )
 
 
@@ -454,10 +443,10 @@ def has_partition_basis(cb: CoverBasis) -> tuple[bool, Optional[CoverBasis]]:
     for u in cb.covers:
         chosen = None
         for p in member_partitions:
-            if cover_refines(p, u):
+            if refines(p, u):
                 chosen = p
                 break
-        if chosen is None and cover_refines(finest_partition, u):
+        if chosen is None and refines(finest_partition, u):
             chosen = finest_partition
         if chosen is None:
             return False, None

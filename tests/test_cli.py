@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from ultrauniform.cli import (
     padic_valuation,
 )
 from ultrauniform.core import Carrier, Relation, eq_closure, is_equivalence
+from ultrauniform.jsonio import dumps
 from ultrauniform.oracle import check_strong_triangle
 from ultrauniform.pseudometric import Pseudometric, PseudometricSystem, basis_from_system
 from ultrauniform.topology import sierpinski_topology
@@ -60,6 +62,25 @@ class TestGenPadic:
         code2, obj2 = run(capsys, "gen", "padic", "--p", "3", "--n", "9")
         assert code1 == code2 == 0
         assert obj1 == obj2
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_grid_equals_fraction_reference(self, capsys, p):
+        for size in range(1, 41):
+            reference = [[Fraction(0)] * size for _ in range(size)]
+            for x in range(size):
+                for y in range(size):
+                    if x != y:
+                        v, gap = 0, abs(x - y)
+                        while gap % p == 0:
+                            v, gap = v + 1, gap // p
+                        reference[x][y] = Fraction(1, p**v)
+            built = padic_pseudometric(p, size)
+            expected = Pseudometric(Carrier(size), reference)
+            assert built == expected and hash(built) == hash(expected)
+            assert built.values() == expected.values()
+            assert built.dist == expected.dist == tuple(map(tuple, reference))
+            assert main(["gen", "padic", "--p", str(p), "--size", str(size)]) == 0
+            assert capsys.readouterr().out == dumps(expected)
 
     def test_missing_size(self, capsys):
         code, obj = run(capsys, "gen", "padic", "--p", "2")
@@ -152,6 +173,38 @@ class TestValidate:
         code, obj = run(capsys, verb, "--in", payload)
         assert code == 2
         assert f"field '{field}' must be a point index in 0..1" in obj["error"]
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ('{"n": 2, "metrics": [5]}', "field 'metrics[0]' must be a pseudo-metric object"),
+            ('{"n": 2, "steps": [5]}', "field 'steps[0]' must be a relation object"),
+        ],
+    )
+    def test_non_object_member_exit_two(self, capsys, payload, message):
+        code, obj = run(capsys, "validate", "--in", payload)
+        assert code == 2
+        assert obj == {"error": message}
+
+    @pytest.mark.parametrize(
+        "payload, member, field",
+        [
+            ('{"n": 2, "entourages": [{"n": 2, "pairs": [[0, 0], [1, "1"]]}]}',
+             "entourages[0]", "pairs[1][1]"),
+            ('{"n": 2, "steps": [{"n": 2, "pairs": [[0, 1], [1, 0], [0, 0], [1, 1]]},'
+             ' {"n": 2, "pairs": [[0, 0], [true, 1]]}]}', "steps[1]", "pairs[1][0]"),
+            ('{"n": 2, "metrics": [{"n": 2, "dist": "nope"}]}', "metrics[0]", "dist"),
+        ],
+    )
+    def test_nested_error_names_member_and_field(self, capsys, payload, member, field):
+        code, obj = run(capsys, "validate", "--in", payload)
+        assert code == 2
+        assert obj["error"].startswith(f"{member}: field '{field}' must be ")
+
+    def test_boolean_distance_exit_two(self, capsys):
+        code, obj = run(capsys, "validate", "--in", '{"n": 2, "dist": [[0, true], [true, 0]]}')
+        assert code == 2
+        assert obj == {"error": "distance True is not an exact rational"}
 
     def test_inline_json_array_is_read_as_json(self, capsys):
         code, obj = run(capsys, "validate", "--in", "[1, 2]")

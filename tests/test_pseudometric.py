@@ -68,6 +68,19 @@ class TestConstruction:
         with pytest.raises(ValueError, match="zero denominator"):
             pm([[0, "1/0"], ["1/0", 0]], n=2)
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_rejects_booleans(self, flag):
+        with pytest.raises(ValueError, match="not an exact rational"):
+            pm([[0, flag], [flag, 0]], n=2)
+
+    def test_only_the_grid_is_stored(self):
+        d = pm([[0, "1/2", "1/3"], ["1/2", 0, "1/2"], ["1/3", "1/2", 0]])
+        assert Pseudometric.__slots__ == ("carrier", "scale", "grid")
+        assert (d.scale, d.grid) == (6, ((0, 3, 2), (3, 0, 3), (2, 3, 0)))
+        assert d.dist[0] == (0, Fraction(1, 2), Fraction(1, 3))
+        with pytest.raises(AttributeError):
+            d.dist = ()
+
     def test_accepts_strings_and_fractions(self):
         d = pm([[0, "1/2", Fraction(1, 2)], ["1/2", 0, "1/2"], [Fraction(1, 2), "1/2", 0]])
         assert d.d(0, 1) == Fraction(1, 2)
@@ -553,3 +566,110 @@ class TestGridReadOuts:
             expected = json.dumps({"n": d.n, "dist": dist}, indent=2, sort_keys=True) + "\n"
             assert dumps(d) == expected
             assert Pseudometric.from_json(d.to_json()) == d
+
+
+# The library's own builders write integer grids; each result must be the
+# table that the public constructor builds from Fractions computed here.
+
+
+def assert_same_table(built, reference):
+    import json
+
+    from ultrauniform.jsonio import dumps
+
+    expected = Pseudometric(Carrier(len(reference)), reference)
+    assert built == expected and expected == built
+    assert hash(built) == hash(expected)
+    assert (built.scale, built.grid) == (expected.scale, expected.grid)
+    assert built.values() == expected.values()
+    assert built.dist == expected.dist == tuple(map(tuple, reference))
+    assert dumps(built) == dumps(expected)
+    dist = [[f"{v.numerator}/{v.denominator}" for v in row] for row in reference]
+    assert dumps(built) == json.dumps({"n": len(dist), "dist": dist}, indent=2, sort_keys=True) + "\n"
+
+
+def ultrametric_fractions(rng, n):
+    return [list(row) for row in random_ultrametric(rng, n).dist]
+
+
+def reference_chain_distances(steps, n):
+    """Distance 0 inside the last step, else 1/m for the largest m with the pair in step m."""
+    dist = [[Fraction(0)] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            if x != y and not steps[-1].has(x, y):
+                m = max(i for i in range(1, len(steps) + 1) if steps[i - 1].has(x, y))
+                dist[x][y] = Fraction(1, m)
+    return dist
+
+
+def random_chain_steps(rng, n, depth):
+    carrier = Carrier(n)
+    steps = [Relation.full(carrier)]
+    for _ in range(depth):
+        steps.append(steps[-1] & random_equivalence(rng, n))
+    return steps
+
+
+class TestGridBuilders:
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_sup_matches_fraction_maximum(self, count):
+        rng = random.Random(40 + count)
+        makers = [
+            ultrametric_fractions,
+            lambda rng, n: shortest_path_metric(rng, n, small_weight),
+            lambda rng, n: shortest_path_metric(rng, n, big_weight),
+        ]
+        for _ in range(60):
+            n = rng.randint(1, 9)
+            tables = [rng.choice(makers)(rng, n) for _ in range(count)]
+            ds = [Pseudometric(Carrier(n), t) for t in tables]
+            reference = [
+                [max(t[x][y] for t in tables) for y in range(n)] for x in range(n)
+            ]
+            assert_same_table(sup_pm(ds), reference)
+
+    def test_sup_keeps_the_scale_of_the_values_it_takes(self):
+        halves = [[Fraction(0) if x == y else Fraction(1, 2) for y in range(3)] for x in range(3)]
+        thirds = [[Fraction(0) if x == y else Fraction(1, 3) for y in range(3)] for x in range(3)]
+        s = sup_pm([pm(halves), pm(thirds)])
+        assert s.scale == 2
+        assert_same_table(s, halves)
+        assert_same_table(sup_pm([pm(thirds), pm(halves)]), halves)
+        zero = [[Fraction(0)] * 3 for _ in range(3)]
+        assert_same_table(sup_pm([ZERO3, pm(zero)]), zero)
+
+    def test_chain_pm_matches_unit_fractions(self):
+        rng = random.Random(8)
+        for _ in range(200):
+            n = rng.randint(1, 8)
+            steps = random_chain_steps(rng, n, rng.randint(0, 5))
+            d = chain_pm(Chain(Carrier(n), steps))
+            assert_same_table(d, reference_chain_distances(steps, n))
+
+    def test_chain_pm_skipping_depths_is_in_lowest_terms(self):
+        # depths 1 and 2 only, over a chain of length 4: scale 6 reduces to 2
+        steps = [FULL3, E01, E01, E01]
+        d = chain_pm(Chain(C3, steps))
+        assert d.scale == 1
+        assert_same_table(d, reference_chain_distances(steps, 3))
+        c4 = Carrier(4)
+        e = eq_closure(Relation.from_pairs(c4, [(0, 1), (2, 3)]))
+        f = eq_closure(Relation.from_pairs(c4, [(0, 1)]))
+        steps = [Relation.full(c4), e, e, f, f]
+        d = chain_pm(Chain(c4, steps))
+        assert d.scale == 3
+        assert_same_table(d, reference_chain_distances(steps, 4))
+
+    def test_metrize_matches_cumulative_chain(self):
+        rng = random.Random(9)
+        for _ in range(200):
+            n = rng.randint(1, 8)
+            carrier = Carrier(n)
+            es = [random_equivalence(rng, n) for _ in range(rng.randint(1, 4))]
+            if rng.random() < 0.2:
+                es.insert(0, Relation.full(carrier))
+            steps = [Relation.full(carrier)]
+            for e in es[1:] if es[0] == steps[0] else es:
+                steps.append(steps[-1] & e)
+            assert_same_table(metrize(es), reference_chain_distances(steps, n))
