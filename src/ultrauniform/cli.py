@@ -105,7 +105,10 @@ def _read_input(raw: str) -> dict:
     else:
         with open(raw, "r", encoding="utf-8") as fh:
             text = fh.read()
-    return json.loads(text)
+    try:
+        return json.loads(text)
+    except RecursionError:  # the decoder recurses once per nesting level
+        raise ValueError("JSON input nests too deeply") from None
 
 
 def _emit(payload, out_path) -> None:
@@ -145,11 +148,7 @@ def _cmd_check_na(structure) -> tuple[int, dict]:
     if not isinstance(structure, DiagonalBasis):
         raise ValueError("check-na expects a diagonal basis")
     ok, witness = is_non_archimedean(structure)
-    payload = {
-        "non_archimedean": ok,
-        "witness": witness.to_json() if witness is not None else None,
-    }
-    return (EXIT_OK if ok else EXIT_FALSE), payload
+    return EXIT_OK, {"non_archimedean": ok, "witness": witness.to_json()}
 
 
 def _cmd_metrize(structure) -> tuple[int, dict]:

@@ -7,7 +7,7 @@ All values are immutable after construction.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator
 
 
 class CarrierMismatch(ValueError):
@@ -39,21 +39,14 @@ def bits(mask: int) -> Iterator[int]:
 
 
 class Carrier:
-    """An n-point set; labels are presentation only and never affect equality."""
+    """An n-point set whose points are the indices 0..n-1."""
 
-    __slots__ = ("n", "labels")
+    __slots__ = ("n",)
 
-    def __init__(self, n: int, labels: Optional[Sequence[str]] = None):
+    def __init__(self, n: int):
         if not isinstance(n, int) or n < 1:
             raise ValueError("carrier needs a positive number of points")
-        if labels is not None:
-            labels = tuple(labels)
-            if len(labels) != n:
-                raise ValueError("need exactly one label per point")
-            if len(set(labels)) != n:
-                raise ValueError("labels must be pairwise distinct")
         self.n = n
-        self.labels = labels
 
     @property
     def points(self) -> range:
@@ -136,10 +129,6 @@ class Relation:
         for x, row in enumerate(self.rows):
             for y in bits(row):
                 yield (x, y)
-
-    def neighborhood(self, x: int) -> int:
-        """The slice D[x] = {y | (x,y) in D} as a bitmask."""
-        return self.rows[x]
 
     def __and__(self, other: "Relation") -> "Relation":
         carrier = same_carrier(self, other)
@@ -302,12 +291,6 @@ class Partition:
     @property
     def masks(self) -> tuple[int, ...]:
         return tuple(mask_of(b) for b in self.blocks)
-
-    def block_of(self, x: int) -> tuple[int, ...]:
-        for block in self.blocks:
-            if x in block:
-                return block
-        raise ValueError(f"point {x} not on the carrier")
 
     def to_relation(self) -> Relation:
         rows = [0] * self.n

@@ -19,6 +19,9 @@ from .core import (
     Relation,
     bits,
     eq_closure,
+    is_equivalence,
+    refines,
+    to_partition,
 )
 from .pseudometric import (
     Pseudometric,
@@ -39,13 +42,19 @@ from .uniformity import (
     Cover,
     CoverBasis,
     DiagonalBasis,
+    ValidationReport,
     cover_basis_from_diagonal,
     cover_roundtrip,
+    covering_uniformity_equal,
     diagonal_roundtrip,
     has_partition_basis,
+    intersection_closure,
     is_non_archimedean,
+    relation_from_cover,
+    star_refines,
     uniformity_equal,
     validate_cover,
+    validate_diagonal,
 )
 
 DEFAULT_SEED = 1729
@@ -442,6 +451,65 @@ def is_uniformity_filter(minimum: Relation) -> bool:
     return True
 
 
+def search_na_witness(b: DiagonalBasis) -> tuple[bool, Optional[DiagonalBasis]]:
+    """Per-member reference for `is_non_archimedean`; raises on an invalid basis.
+
+    Each closure member D takes the first eq_closure(D0), D0 in the
+    closure, that lies inside D; the chosen relations form the witness.
+    """
+    validate_diagonal(b).require("diagonal basis")
+    closure = intersection_closure(b.entourages)
+    candidates = [eq_closure(e) for e in closure]
+    witness = []
+    for d in closure:
+        found = next((cand for cand in candidates if cand.issubset(d)), None)
+        if found is None:
+            return False, None
+        witness.append(found)
+    return True, DiagonalBasis(b.carrier, witness)
+
+
+def slow_finest_refinement(cb: CoverBasis) -> Cover:
+    """The meet of the covers, closed under pairwise intersection to a fixpoint."""
+    fam = set(cb.covers[0].sets)
+    for c in cb.covers[1:]:
+        fam = {x & y for x in fam for y in c.sets if x & y}
+    while True:
+        closed = {x & y for x in fam for y in fam if x & y}
+        if closed == fam:
+            return Cover(cb.carrier, fam)
+        fam = closed
+
+
+def slow_validate_cover(cb: CoverBasis) -> ValidationReport:
+    """The star-refinement axiom, checked against `slow_finest_refinement`."""
+    fin = slow_finest_refinement(cb)
+    return ValidationReport(
+        ("star_refinement", u.sets_as_lists()) for u in cb.covers if not star_refines(fin, u)
+    )
+
+
+def search_partition_basis(cb: CoverBasis) -> tuple[bool, Optional[CoverBasis]]:
+    """Per-cover reference for `has_partition_basis`; raises on an invalid basis.
+
+    Each cover takes the first class partition (of a co-residence closure)
+    that refines it, over the stored covers and then the finest refinement.
+    """
+    slow_validate_cover(cb).require("cover basis")
+
+    def classes(u: Cover) -> Cover:
+        return Cover.from_partition(to_partition(eq_closure(relation_from_cover(u))))
+
+    candidates = [classes(v) for v in cb.covers] + [classes(slow_finest_refinement(cb))]
+    witness = []
+    for u in cb.covers:
+        chosen = next((p for p in candidates if refines(p, u)), None)
+        if chosen is None:
+            return False, None
+        witness.append(chosen)
+    return True, CoverBasis(cb.carrier, witness)
+
+
 # ---------------------------------------------------------------------------
 # law sweeps
 
@@ -471,16 +539,15 @@ def _diagonal_instances(spec: EnumerationSpec) -> Iterator[DiagonalBasis]:
 
 
 def _check_representations(b: DiagonalBasis) -> Optional[str]:
-    na, _ = is_non_archimedean(b)
-    if not na:
-        return "not non-Archimedean"
-    system = system_from_na_basis(b)
-    if not uniformity_equal(basis_from_system(system), b):
+    _, witness = is_non_archimedean(b)
+    if not all(map(is_equivalence, witness.entourages)) or not uniformity_equal(witness, b):
+        return "witness is not an equivalence basis of the uniformity"
+    if not uniformity_equal(basis_from_system(system_from_na_basis(b)), b):
         return "induced system does not reproduce the uniformity"
-    if not has_partition_basis(cover_basis_from_diagonal(b))[0]:
-        return "covering side has no partition basis"
-    if not is_non_archimedean(basis_from_system(system))[0]:
-        return "system-induced basis not non-Archimedean"
+    cb = cover_basis_from_diagonal(b)
+    _, parts = has_partition_basis(cb)
+    if not all(c.is_partition for c in parts.covers) or not covering_uniformity_equal(parts, cb):
+        return "witness is not a partition basis of the covering uniformity"
     return None
 
 

@@ -29,7 +29,8 @@ from .core import (
 from .uniformity import DiagonalBasis, is_non_archimedean
 
 
-def _as_fraction(value) -> Fraction:
+def _as_fraction(value, what: str) -> Fraction:
+    """An int (not a bool), a Fraction or a rational string, named `what` in errors."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
@@ -38,8 +39,10 @@ def _as_fraction(value) -> Fraction:
         try:
             return Fraction(value)
         except ZeroDivisionError:
-            raise ValueError(f"distance {value!r} has a zero denominator") from None
-    raise ValueError(f"distance {value!r} is not an exact rational")
+            raise ValueError(f"{what} has a zero denominator: {value!r}") from None
+        except ValueError:
+            pass
+    raise ValueError(f"{what} is not an exact rational: {value!r}")
 
 
 def _triangle_failure(grid: Sequence[Sequence[int]]) -> tuple[int, int, int] | None:
@@ -88,7 +91,13 @@ class Pseudometric:
         n = carrier.n
         if len(dist) != n or any(len(row) != n for row in dist):
             raise ValueError("distance table must be n x n")
-        table = [[_as_fraction(v) for v in row] for row in dist]
+        try:
+            table = [[_as_fraction(v, "distance") for v in row] for row in dist]
+        except ValueError:  # parse again, naming each cell, to report the first refused one
+            for x, row in enumerate(dist):
+                for y, v in enumerate(row):
+                    _as_fraction(v, f"field 'dist[{x}][{y}]'")
+            raise
         scale = math.lcm(*{v.denominator for row in table for v in row})
         grid = [[v.numerator * (scale // v.denominator) for v in row] for row in table]
         self._store(carrier, grid, scale)
@@ -207,7 +216,7 @@ def sup_pm(ds: Sequence[Pseudometric]) -> Pseudometric:
 
 def ball_relation(d: Pseudometric, eps) -> Relation:
     """The strict ball relation {(x,y) | d(x,y) < eps}."""
-    eps = _as_fraction(eps)
+    eps = _as_fraction(eps, "ball radius")
     if eps <= 0:
         raise ValueError("ball radius must be positive")
     # d(x,y) < eps  iff  grid[x][y] * eps.den < eps.num * scale
@@ -374,14 +383,11 @@ def chain_pm(kappa: Chain) -> Pseudometric:
 
 
 def system_from_na_basis(b: DiagonalBasis) -> PseudometricSystem:
-    """One two-step chain distance per witness equivalence relation.
+    """One two-step chain ultrametric per witness relation; the witness is {D_min}.
 
-    Requires the basis to be non-Archimedean; the produced system induces
-    the same uniformity as the input basis.
+    It induces the same uniformity as the input; an invalid basis raises ValidationError.
     """
-    ok, witness = is_non_archimedean(b)
-    if not ok:
-        raise ValidationError("basis is not non-Archimedean")
+    _, witness = is_non_archimedean(b)
     full = Relation.full(b.carrier)
     metrics = {chain_pm(Chain(b.carrier, [full, e])) for e in witness.entourages}
     return PseudometricSystem(b.carrier, metrics)

@@ -43,9 +43,6 @@ class FiniteTopology:
     def is_open(self, mask: int) -> bool:
         return mask in self.opens
 
-    def is_closed(self, mask: int) -> bool:
-        return (self.carrier.full_mask & ~mask) in self.opens
-
     def closed_sets(self) -> list[int]:
         full = self.carrier.full_mask
         return sorted((full & ~o for o in self.opens), key=lambda m: (m.bit_count(), m))

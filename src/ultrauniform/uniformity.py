@@ -1,16 +1,19 @@
 """Diagonal and covering uniformity bases on finite carriers.
 
 A DiagonalBasis stores a finite generating family of reflexive relations;
-the represented filter consists of every relation that contains a finite
-intersection of stored entourages.  All decision procedures therefore
-quantify over the intersection closure of the stored list, which is the
-actual (downward cofinal) basis.  Dually, a CoverBasis generates a
-covering uniformity through common refinements of its covers.
+the represented filter is generated by D_min, the intersection of the
+stored entourages, and the basis is valid exactly when D_min is an
+equivalence relation.  Validation checks every member of the intersection
+closure, to name the failing ones; the other decisions and conversions
+are built from D_min.  Dually, a CoverBasis generates a covering
+uniformity through common refinements of its covers, whose meet F refines
+every member; for a valid basis F's co-residence is an equivalence.  The
+per-member searches these replace are kept in `oracle` as references.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .core import (
     Carrier,
@@ -20,12 +23,10 @@ from .core import (
     ValidationError,
     bits,
     compose,
-    eq_closure,
     inverse,
     mask_of,
     refines,
     same_carrier,
-    to_partition,
 )
 
 
@@ -279,29 +280,14 @@ def uniformity_equal(b1: DiagonalBasis, b2: DiagonalBasis) -> bool:
     return normalize(b1) == normalize(b2)
 
 
-def is_non_archimedean(b: DiagonalBasis) -> tuple[bool, Optional[DiagonalBasis]]:
+def is_non_archimedean(b: DiagonalBasis) -> tuple[bool, DiagonalBasis]:
     """Decide whether the generated uniformity has an equivalence-relation basis.
 
-    For each member D of the intersection closure we search for a member
-    D0 with eq_closure(D0) <= D; eq_closure(D0) is the least equivalence
-    relation containing D0, so no other equivalence relation above D0 can
-    succeed where it fails.  On success the chosen equivalence relations
-    form a witness basis generating the same uniformity.
+    Every valid basis has one: its filter is generated by D_min, which is
+    then an equivalence relation, so the witness is {D_min}.  An invalid
+    basis raises ValidationError.
     """
-    validate_diagonal(b).require("diagonal basis")
-    closure = intersection_closure(b.entourages)
-    candidates = [eq_closure(e) for e in closure]
-    witness = []
-    for d in closure:
-        found = None
-        for cand in candidates:
-            if cand.issubset(d):
-                found = cand
-                break
-        if found is None:
-            return False, None
-        witness.append(found)
-    return True, DiagonalBasis(b.carrier, witness)
+    return True, normalize(b)
 
 
 def cover_from_relation(d: Relation) -> Cover:
@@ -319,23 +305,18 @@ def relation_from_cover(u: Cover) -> Relation:
 
 
 def cover_basis_from_diagonal(b: DiagonalBasis) -> CoverBasis:
-    """Neighborhood covers of every member of the intersection closure."""
-    validate_diagonal(b).require("diagonal basis")
-    covers = {cover_from_relation(d) for d in intersection_closure(b.entourages)}
-    return CoverBasis(b.carrier, covers)
+    """The one partition cover of D_min's classes; requires a valid basis."""
+    return CoverBasis(b.carrier, [cover_from_relation(normalize(b).entourages[0])])
 
 
 def diagonal_from_cover_basis(cb: CoverBasis) -> DiagonalBasis:
-    """Co-residence relations of the covers plus their finest refinement.
+    """The co-residence relation of the finest common refinement F.
 
-    The finest common refinement is included so that the produced filter
-    matches the generated covering uniformity even when the stored covers
-    are not closed under common refinement.
+    F refines every cover the basis generates, so its relation lies inside
+    every entourage the covers give; for a valid basis it is an equivalence.
     """
     validate_cover(cb).require("cover basis")
-    rels = {relation_from_cover(u) for u in cb.covers}
-    rels.add(relation_from_cover(finest_common_refinement(cb)))
-    return DiagonalBasis(cb.carrier, rels)
+    return DiagonalBasis(cb.carrier, [relation_from_cover(finest_common_refinement(cb))])
 
 
 def star(a, u: Cover) -> set[int]:
@@ -352,31 +333,16 @@ def _star_mask(m: int, sets: tuple[int, ...]) -> int:
     return acc
 
 
-def _meet_families(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    out = set()
-    for x in a:
-        for y in b:
-            z = x & y
-            if z:
-                out.add(z)
-    return tuple(sorted(out))
-
-
 def finest_common_refinement(cb: CoverBasis) -> Cover:
-    """Limit of repeated common refinements of all covers in the basis.
+    """The meet of the covers: the nonempty intersections of one set from each.
 
     Every member of the generated covering uniformity is refined by this
     cover, which makes it a universal witness for refinement and
     star-refinement searches (both are monotone under refinement).
     """
-    fam: tuple[int, ...] = cb.covers[0].sets
+    fam = set(cb.covers[0].sets)
     for c in cb.covers[1:]:
-        fam = _meet_families(fam, c.sets)
-    while True:
-        nxt = _meet_families(fam, fam)
-        if nxt == fam:
-            break
-        fam = nxt
+        fam = {x & y for x in fam for y in c.sets} - {0}
     return Cover(cb.carrier, fam)
 
 
@@ -424,34 +390,15 @@ def covering_uniformity_equal(cb1: CoverBasis, cb2: CoverBasis) -> bool:
     )
 
 
-def has_partition_basis(cb: CoverBasis) -> tuple[bool, Optional[CoverBasis]]:
+def has_partition_basis(cb: CoverBasis) -> tuple[bool, CoverBasis]:
     """Decide whether the generated covering uniformity has a partition basis.
 
-    A partition belongs to the uniformity iff its relation contains the
-    co-residence relation of the finest common refinement, so the finest
-    candidate partition comes from that relation's equivalence closure.
-    Per-cover witnesses prefer partitions induced by stored covers.
+    Every valid basis has one: F star-refines each stored cover, so the
+    co-residence of F is an equivalence, and the partition into its classes
+    is refined by F and refines every stored cover.  An invalid basis
+    raises ValidationError.
     """
-    validate_cover(cb).require("cover basis")
-    fin = finest_common_refinement(cb)
-    finest_partition = Cover.from_partition(to_partition(eq_closure(relation_from_cover(fin))))
-    member_partitions = [
-        Cover.from_partition(to_partition(eq_closure(relation_from_cover(v))))
-        for v in cb.covers
-    ]
-    witness = []
-    for u in cb.covers:
-        chosen = None
-        for p in member_partitions:
-            if refines(p, u):
-                chosen = p
-                break
-        if chosen is None and refines(finest_partition, u):
-            chosen = finest_partition
-        if chosen is None:
-            return False, None
-        witness.append(chosen)
-    return True, CoverBasis(cb.carrier, witness)
+    return True, cover_basis_from_diagonal(diagonal_from_cover_basis(cb))
 
 
 def diagonal_roundtrip(b: DiagonalBasis) -> bool:

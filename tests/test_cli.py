@@ -1,5 +1,6 @@
 """The command-line surface: verbs, exit codes, and determinism."""
 
+import io
 import json
 import os
 import subprocess
@@ -34,6 +35,15 @@ C3 = Carrier(3)
 E01 = eq_closure(Relation.from_pairs(C3, [(0, 1)]))
 BASIS_JSON = json.dumps(DiagonalBasis(C3, [E01]).to_json())
 SIERPINSKI_JSON = json.dumps(sierpinski_topology().to_json())
+NA_BASIS_JSON = json.dumps(
+    {"n": 4, "entourages": [
+        {"n": 4, "pairs": [[x, y] for x in range(4) for y in range(4) if x // 2 == y // 2]},
+        {"n": 4, "pairs": [[x, y] for x in range(4) for y in range(4) if x % 3 == y % 3]},
+    ]}
+)
+COVERS_JSON = json.dumps({"n": 4, "covers": [[[0, 1], [2, 3]], [[0, 1, 2], [3]], [[0], [1, 2, 3]]]})
+TOPOLOGY_JSON = json.dumps({"n": 4, "opens": [[], [0, 1], [2], [3], [0, 1, 2], [0, 1, 3], [2, 3],
+                                              [0, 1, 2, 3]]})
 PSEUDO_JSON = json.dumps(
     DiagonalBasis(
         C3,
@@ -204,7 +214,32 @@ class TestValidate:
     def test_boolean_distance_exit_two(self, capsys):
         code, obj = run(capsys, "validate", "--in", '{"n": 2, "dist": [[0, true], [true, 0]]}')
         assert code == 2
-        assert obj == {"error": "distance True is not an exact rational"}
+        assert obj == {"error": "field 'dist[0][1]' is not an exact rational: True"}
+
+    @pytest.mark.parametrize(
+        "dist, message",
+        [
+            ('[[0, "1/2"], ["1/0", 0]]', "field 'dist[1][0]' has a zero denominator: '1/0'"),
+            ('[[0, "half"], ["1/2", 0]]', "field 'dist[0][1]' is not an exact rational: 'half'"),
+        ],
+    )
+    def test_bad_distance_names_its_cell(self, capsys, dist, message):
+        code, obj = run(capsys, "validate", "--in", f'{{"n": 2, "dist": {dist}}}')
+        assert code == 2
+        assert obj == {"error": message}
+
+    @pytest.mark.parametrize("source", ["stdin", "file"])
+    def test_deeply_nested_json_exit_two(self, capsys, monkeypatch, tmp_path, source):
+        text = "[" * 100000
+        if source == "stdin":
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            where = "-"
+        else:
+            where = str(tmp_path / "deep.json")
+            Path(where).write_text(text)
+        code, obj = run(capsys, "validate", "--in", where)
+        assert code == 2
+        assert obj == {"error": "JSON input nests too deeply"}
 
     def test_inline_json_array_is_read_as_json(self, capsys):
         code, obj = run(capsys, "validate", "--in", "[1, 2]")
@@ -323,6 +358,30 @@ class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["validate", "--in", NA_BASIS_JSON],
+            ["check-na", "--in", NA_BASIS_JSON],
+            ["convert", "--in", COVERS_JSON, "--to", "diagonal"],
+            ["metrize", "--in", NA_BASIS_JSON],
+            ["pm-system", "--in", NA_BASIS_JSON],
+            ["topo-check", "--in", TOPOLOGY_JSON],
+            ["uniformize", "--in", TOPOLOGY_JSON],
+            ["roundtrip", "--in", COVERS_JSON],
+            ["gen", "ideal-chain", "--modulus", "12", "--ideal", "2", "--depth", "2"],
+        ],
+        ids=lambda argv: " ".join(argv[:2] if argv[0] == "gen" else argv[:1]),
+    )
+    def test_verb_output_is_byte_identical_across_processes(self, argv):
+        # distinct hash seeds, so set and dict order cannot leak into stdout
+        runs = [
+            fresh_python("-m", "ultrauniform.cli", *argv, env={"PYTHONHASHSEED": seed})
+            for seed in ("1", "2")
+        ]
+        assert all(run.returncode == 0 for run in runs), [run.stdout for run in runs]
+        assert runs[0].stdout == runs[1].stdout
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["sweep", "--theorem", "T2.4", "--n", "4", "--trials", "5", "--seed", "7"],
             ["sweep", "--theorem", "T3.2", "--n", "3"],
         ],
@@ -338,9 +397,9 @@ class TestDeterminism:
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def fresh_python(*args):
+def fresh_python(*args, env=()):
     """Run a new interpreter with only the package's src/ on PYTHONPATH."""
-    env = dict(os.environ, PYTHONPATH=SRC)
+    env = dict(os.environ, PYTHONPATH=SRC, **dict(env))
     return subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
     )

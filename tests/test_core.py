@@ -231,17 +231,6 @@ class TestCarrier:
         with pytest.raises(ValueError):
             Carrier(0)
 
-    def test_labels_are_presentation_only(self):
-        labeled = Carrier(2, labels=["a", "b"])
-        assert labeled == Carrier(2)
-        assert labeled.labels == ("a", "b")
-
-    def test_labels_must_match_and_be_distinct(self):
-        with pytest.raises(ValueError):
-            Carrier(2, labels=["a"])
-        with pytest.raises(ValueError):
-            Carrier(2, labels=["a", "a"])
-
 
 class TestJson:
     def test_relation_round_trip_sorted_pairs(self):

@@ -1,5 +1,6 @@
 """Diagonal/covering bases: validation, equality, conversions, NA decision."""
 
+import random
 from itertools import combinations
 
 import pytest
@@ -13,20 +14,31 @@ from ultrauniform.core import (
     compose,
     eq_closure,
     is_equivalence,
+    refines,
 )
 from ultrauniform.oracle import (
+    enumerate_covers,
+    enumerate_equivalence_bases,
     enumerate_equivalences,
     enumerate_partitions,
     enumerate_relations,
     enumerate_uniformities,
     enumerate_valid_cover_bases,
+    random_cover_basis,
+    random_equivalence_basis,
     random_valid_basis,
+    search_na_witness,
+    search_partition_basis,
+    slow_finest_refinement,
+    slow_validate_cover,
 )
+from ultrauniform.pseudometric import basis_from_system, system_from_na_basis
 from ultrauniform.uniformity import (
     Cover,
     CoverBasis,
     DiagonalBasis,
     cover_basis_from_diagonal,
+    cover_from_relation,
     cover_roundtrip,
     covering_uniformity_equal,
     diagonal_from_cover_basis,
@@ -37,6 +49,7 @@ from ultrauniform.uniformity import (
     is_non_archimedean,
     minimum_entourage,
     normalize,
+    relation_from_cover,
     star,
     star_refines,
     uniformity_equal,
@@ -230,8 +243,6 @@ class TestDiagonalFromCover:
             diagonal_from_cover_basis(cb)
 
     def test_overlapping_cover_relation_formula(self):
-        from ultrauniform.uniformity import relation_from_cover
-
         u = Cover(C3, [[0, 1], [1, 2]])
         expected = Relation.from_pairs(
             C3, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 0), (1, 2), (2, 1)]
@@ -290,6 +301,106 @@ class TestHasPartitionBasis:
         ok, witness = has_partition_basis(cb)
         assert ok
         assert Cover(C3, [[0], [1], [2]]) in witness.covers
+
+
+def check_diagonal_against_oracle(b):
+    """The D_min decisions against the closure search; True iff b is valid."""
+    try:
+        found, reference = search_na_witness(b)
+    except ValidationError:
+        for decide in (is_non_archimedean, cover_basis_from_diagonal, system_from_na_basis):
+            with pytest.raises(ValidationError):
+                decide(b)
+        return False
+    ok, witness = is_non_archimedean(b)
+    assert ok and found
+    assert all(is_equivalence(e) for e in witness.entourages)
+    assert uniformity_equal(witness, b) and uniformity_equal(witness, reference)
+    cb = cover_basis_from_diagonal(b)
+    assert all(c.is_partition for c in cb.covers)
+    closure_covers = {cover_from_relation(d) for d in intersection_closure(b.entourages)}
+    assert covering_uniformity_equal(cb, CoverBasis(b.carrier, closure_covers))
+    assert uniformity_equal(basis_from_system(system_from_na_basis(b)), b)
+    return True
+
+
+def check_cover_against_oracle(cb):
+    """The decisions on the meet F against the fixpoint and per-cover searches."""
+    assert validate_cover(cb).to_json() == slow_validate_cover(cb).to_json()
+    fin, closed = finest_common_refinement(cb), slow_finest_refinement(cb)
+    assert relation_from_cover(fin) == relation_from_cover(closed)
+    assert refines(fin, closed) and refines(closed, fin)
+    try:
+        found, reference = search_partition_basis(cb)
+    except ValidationError:
+        for decide in (has_partition_basis, diagonal_from_cover_basis):
+            with pytest.raises(ValidationError):
+                decide(cb)
+        return False
+    ok, parts = has_partition_basis(cb)
+    assert ok and found
+    assert all(c.is_partition for c in parts.covers)
+    assert covering_uniformity_equal(parts, cb) and covering_uniformity_equal(parts, reference)
+    b = diagonal_from_cover_basis(cb)
+    assert all(is_equivalence(e) for e in b.entourages)
+    coresidence = {relation_from_cover(u) for u in cb.covers} | {relation_from_cover(closed)}
+    assert uniformity_equal(b, DiagonalBasis(cb.carrier, coresidence))
+    return True
+
+
+def random_reflexive_basis(rng, n):
+    carrier = Carrier(n)
+    return DiagonalBasis(carrier, [
+        Relation(carrier, (rng.getrandbits(n) | 1 << x for x in range(n)))
+        for _ in range(rng.randint(1, 3))
+    ])
+
+
+def random_any_cover_basis(rng, n):
+    carrier = Carrier(n)
+    full = carrier.full_mask
+    covers = []
+    for _ in range(rng.randint(1, 3)):
+        sets = [rng.randint(1, full) for _ in range(rng.randint(1, n))]
+        sets.append(full & ~sets[0] or full)
+        covers.append(Cover(carrier, sets))
+    return CoverBasis(carrier, covers)
+
+
+class TestPrincipalGeneratorAgainstOracle:
+    def test_equivalence_bases_n_up_to_3(self):
+        bases = [b for n in (1, 2, 3) for b in enumerate_equivalence_bases(n, 3)]
+        assert all(check_diagonal_against_oracle(b) for b in bases)
+
+    def test_reflexive_bases_of_one_or_two_members_n3(self):
+        reflexive = all_reflexive_n3()
+        bases = [DiagonalBasis(C3, [r]) for r in reflexive]
+        bases += [DiagonalBasis(C3, pair) for pair in combinations(reflexive, 2)]
+        valid = sum(check_diagonal_against_oracle(b) for b in bases)
+        assert 0 < valid < len(bases)
+
+    def test_cover_bases_of_one_or_two_covers_n_up_to_3(self):
+        checked = valid = 0
+        for n in (1, 2, 3):
+            carrier = Carrier(n)
+            covers = list(enumerate_covers(n))
+            for size in (1, 2):
+                for combo in combinations(covers, size):
+                    checked += 1
+                    valid += check_cover_against_oracle(CoverBasis(carrier, combo))
+        assert 0 < valid < checked
+
+    def test_seeded_random_bases_up_to_n6(self):
+        rng = random.Random(20211)
+        valid = 0
+        for n in range(2, 7):
+            for _ in range(40):
+                assert check_diagonal_against_oracle(random_valid_basis(rng, n))
+                assert check_diagonal_against_oracle(random_equivalence_basis(rng, n))
+                valid += check_diagonal_against_oracle(random_reflexive_basis(rng, n))
+                assert check_cover_against_oracle(random_cover_basis(rng, n))
+                valid += check_cover_against_oracle(random_any_cover_basis(rng, n))
+        assert valid > 0
 
 
 class TestRoundtrips:
