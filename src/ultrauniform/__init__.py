@@ -6,65 +6,10 @@ decision procedures for the non-Archimedean property, conversions between
 the representations, clopen separation for finite topologies, and
 brute-force sweeps that machine-check the governing laws on enumerated
 instances.
-"""
 
-from .core import (
-    Carrier,
-    CarrierMismatch,
-    Partition,
-    Relation,
-    ValidationError,
-    compose,
-    eq_closure,
-    inverse,
-    is_equivalence,
-    meet,
-    refines,
-    to_partition,
-    to_relation,
-)
-from .pseudometric import (
-    Chain,
-    Pseudometric,
-    PseudometricSystem,
-    ball_relation,
-    basis_from_system,
-    chain_pm,
-    is_na,
-    metrize,
-    sup_pm,
-    system_from_na_basis,
-    systems_equivalent,
-)
-from .topology import (
-    BinaryMap,
-    FiniteTopology,
-    clopen_sets,
-    continuous_binary_maps,
-    induced_topology,
-    is_uniformizable_na,
-    is_zero_dimensional,
-    satisfies_TA,
-    uniformity_from_binary_maps,
-    validate_topology,
-)
-from .uniformity import (
-    Cover,
-    CoverBasis,
-    DiagonalBasis,
-    ValidationReport,
-    cover_basis_from_diagonal,
-    cover_roundtrip,
-    covering_uniformity_equal,
-    diagonal_from_cover_basis,
-    diagonal_roundtrip,
-    has_partition_basis,
-    is_non_archimedean,
-    normalize,
-    star,
-    uniformity_equal,
-    validate_cover,
-    validate_diagonal,
-)
+The package re-exports nothing: import each name from its submodule
+(`ultrauniform.core`, `.uniformity`, `.pseudometric`, `.topology`,
+`.oracle`, `.jsonio`), so that a command loads only the layers it runs.
+"""
 
 __version__ = "0.1.0"

@@ -3,6 +3,9 @@
 Every command reads and writes JSON only.  Exit codes: 0 when the command
 succeeds and any checked property holds, 1 when a checked property fails,
 2 on malformed input or violated preconditions.
+
+Each verb imports the layers it calls when it runs, so that a command
+compiles and loads only those: `import ultrauniform.cli` loads none.
 """
 
 from __future__ import annotations
@@ -12,31 +15,7 @@ import json
 import os
 import sys
 
-from .core import Carrier, CarrierMismatch, Relation, ValidationError
 from .jsonio import dumps, structure_from_json
-from .pseudometric import (
-    Pseudometric,
-    metrize,
-    system_from_na_basis,
-)
-from .topology import (
-    FiniteTopology,
-    is_uniformizable_na,
-    is_zero_dimensional,
-    satisfies_TA,
-    validate_topology,
-)
-from .uniformity import (
-    CoverBasis,
-    DiagonalBasis,
-    cover_basis_from_diagonal,
-    cover_roundtrip,
-    diagonal_from_cover_basis,
-    diagonal_roundtrip,
-    is_non_archimedean,
-    validate_cover,
-    validate_diagonal,
-)
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -59,6 +38,9 @@ def padic_pseudometric(p: int, size: int) -> Pseudometric:
     Over the denominator scale = p**e, the largest power of p below size,
     every distance is the integer scale // p**v_p(gap), one per gap |x-y|.
     """
+    from .core import Carrier
+    from .pseudometric import Pseudometric
+
     if p < 2:
         raise ValueError("base must be at least 2")
     if size < 1:
@@ -73,6 +55,8 @@ def padic_pseudometric(p: int, size: int) -> Pseudometric:
 
 def congruence_relation(modulus: int, step: int) -> Relation:
     """x ~ y iff step divides x - y, restricted to {0..modulus-1}."""
+    from .core import Carrier, Relation
+
     carrier = Carrier(modulus)
     rows = []
     for x in range(modulus):
@@ -86,6 +70,9 @@ def congruence_relation(modulus: int, step: int) -> Relation:
 
 def ideal_chain_basis(modulus: int, ideal: int, depth: int) -> DiagonalBasis:
     """Congruences modulo ideal**k for k = 0..depth on {0..modulus-1}."""
+    from .core import Carrier
+    from .uniformity import DiagonalBasis
+
     if modulus < 1:
         raise ValueError("modulus must be positive")
     if ideal < 1:
@@ -119,20 +106,40 @@ def _emit(payload, out_path) -> None:
             fh.write(text)
 
 
+# the validator of each type that jsonio detects, keyed on the type's module
+# and name and found in that module; None where the type enforces its
+# invariants at construction
+_VALIDATORS = {
+    (f"{__package__}.uniformity", "DiagonalBasis"): "validate_diagonal",
+    (f"{__package__}.uniformity", "CoverBasis"): "validate_cover",
+    (f"{__package__}.topology", "FiniteTopology"): "validate_topology",
+    (f"{__package__}.pseudometric", "Pseudometric"): None,
+    (f"{__package__}.pseudometric", "PseudometricSystem"): None,
+    (f"{__package__}.pseudometric", "Chain"): None,
+    (f"{__package__}.core", "Relation"): None,
+    (f"{__package__}.core", "Partition"): None,
+}
+
+
 def _cmd_validate(structure) -> tuple[int, dict]:
-    if isinstance(structure, DiagonalBasis):
-        report = validate_diagonal(structure)
-    elif isinstance(structure, CoverBasis):
-        report = validate_cover(structure)
-    elif isinstance(structure, FiniteTopology):
-        report = validate_topology(structure)
-    else:
-        # the remaining types enforce their invariants at construction
+    # a table, not isinstance tests, which would load the topology layer only
+    # to answer no for a basis; a type missing from it is a KeyError, not a pass
+    kind = type(structure)
+    validator = _VALIDATORS[kind.__module__, kind.__name__]
+    if validator is None:
         return EXIT_OK, {"valid": True, "violations": []}
+    report = getattr(sys.modules[kind.__module__], validator)(structure)
     return (EXIT_OK if report.valid else EXIT_FALSE), report.to_json()
 
 
 def _cmd_convert(structure, target: str) -> tuple[int, dict]:
+    from .uniformity import (
+        CoverBasis,
+        DiagonalBasis,
+        cover_basis_from_diagonal,
+        diagonal_from_cover_basis,
+    )
+
     if target == "cover":
         if not isinstance(structure, DiagonalBasis):
             raise ValueError("convert --to cover expects a diagonal basis")
@@ -145,6 +152,8 @@ def _cmd_convert(structure, target: str) -> tuple[int, dict]:
 
 
 def _cmd_check_na(structure) -> tuple[int, dict]:
+    from .uniformity import DiagonalBasis, is_non_archimedean
+
     if not isinstance(structure, DiagonalBasis):
         raise ValueError("check-na expects a diagonal basis")
     ok, witness = is_non_archimedean(structure)
@@ -152,18 +161,31 @@ def _cmd_check_na(structure) -> tuple[int, dict]:
 
 
 def _cmd_metrize(structure) -> tuple[int, dict]:
+    from .pseudometric import metrize
+    from .uniformity import DiagonalBasis
+
     if not isinstance(structure, DiagonalBasis):
         raise ValueError("metrize expects a diagonal basis of equivalence relations")
     return EXIT_OK, metrize(structure.entourages).to_json()
 
 
 def _cmd_pm_system(structure) -> tuple[int, dict]:
+    from .pseudometric import system_from_na_basis
+    from .uniformity import DiagonalBasis
+
     if not isinstance(structure, DiagonalBasis):
         raise ValueError("pm-system expects a diagonal basis")
     return EXIT_OK, system_from_na_basis(structure).to_json()
 
 
 def _cmd_topo_check(structure) -> tuple[int, dict]:
+    from .topology import (
+        FiniteTopology,
+        is_uniformizable_na,
+        is_zero_dimensional,
+        satisfies_TA,
+    )
+
     if not isinstance(structure, FiniteTopology):
         raise ValueError("topo-check expects a topology")
     ta, _ = satisfies_TA(structure)
@@ -174,6 +196,8 @@ def _cmd_topo_check(structure) -> tuple[int, dict]:
 
 
 def _cmd_uniformize(structure) -> tuple[int, dict]:
+    from .topology import FiniteTopology, is_uniformizable_na
+
     if not isinstance(structure, FiniteTopology):
         raise ValueError("uniformize expects a topology")
     ok, witness = is_uniformizable_na(structure)
@@ -185,6 +209,8 @@ def _cmd_uniformize(structure) -> tuple[int, dict]:
 
 
 def _cmd_roundtrip(structure) -> tuple[int, dict]:
+    from .uniformity import CoverBasis, DiagonalBasis, cover_roundtrip, diagonal_roundtrip
+
     if isinstance(structure, DiagonalBasis):
         ok = diagonal_roundtrip(structure)
     elif isinstance(structure, CoverBasis):
@@ -294,14 +320,12 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         _emit({"error": f"malformed JSON: {exc}"}, getattr(args, "out", None))
         return EXIT_INPUT
-    except ValidationError as exc:
+    except (ValueError, OSError) as exc:  # core's ValidationError and CarrierMismatch included
         payload = {"error": str(exc)}
-        if exc.report is not None:
-            payload["report"] = exc.report.to_json()
+        report = getattr(exc, "report", None)  # a ValidationError's, when it has one
+        if report is not None:
+            payload["report"] = report.to_json()
         _emit(payload, getattr(args, "out", None))
-        return EXIT_INPUT
-    except (ValueError, CarrierMismatch, OSError) as exc:
-        _emit({"error": str(exc)}, getattr(args, "out", None))
         return EXIT_INPUT
     _emit(payload, args.out)
     return code

@@ -1,35 +1,30 @@
-"""JSON encoding, decoding, and type detection for all structures."""
+"""JSON encoding, decoding, and type detection for all structures.
+
+Detection imports only the module of the structure it finds, so reading a
+payload loads no other layer.  `dumps` renders the library's payload
+shapes (str-keyed dicts, lists, tuples, ints, bools, None and strings) with
+a small writer of its own, byte for byte as
+`json.dumps(payload, indent=2, sort_keys=True)` would; that call selects
+the stdlib's pure-Python encoder, which is slower and leaves a reference
+cycle behind on every call.  Any other value is a TypeError.
+"""
 
 from __future__ import annotations
 
 import json
-from typing import Union
+from importlib import import_module
+from json.encoder import encode_basestring_ascii as _quote
 
-from .core import Partition, Relation
-from .pseudometric import Chain, Pseudometric, PseudometricSystem
-from .topology import FiniteTopology
-from .uniformity import CoverBasis, DiagonalBasis
-
-Structure = Union[
-    Relation,
-    Partition,
-    DiagonalBasis,
-    CoverBasis,
-    Pseudometric,
-    PseudometricSystem,
-    Chain,
-    FiniteTopology,
-]
-
+# discriminating field -> (layer module, class), tried in this order
 _DETECTORS = (
-    ("entourages", DiagonalBasis),
-    ("covers", CoverBasis),
-    ("opens", FiniteTopology),
-    ("dist", Pseudometric),
-    ("metrics", PseudometricSystem),
-    ("steps", Chain),
-    ("pairs", Relation),
-    ("blocks", Partition),
+    ("entourages", "uniformity", "DiagonalBasis"),
+    ("covers", "uniformity", "CoverBasis"),
+    ("opens", "topology", "FiniteTopology"),
+    ("dist", "pseudometric", "Pseudometric"),
+    ("metrics", "pseudometric", "PseudometricSystem"),
+    ("steps", "pseudometric", "Chain"),
+    ("pairs", "core", "Relation"),
+    ("blocks", "core", "Partition"),
 )
 
 
@@ -37,23 +32,54 @@ def detect(obj: dict) -> type:
     """Pick the structure type from the discriminating field of a payload."""
     if not isinstance(obj, dict):
         raise ValueError("expected a JSON object")
-    for field, cls in _DETECTORS:
+    for field, module, name in _DETECTORS:
         if field in obj:
-            return cls
-    fields = ", ".join(field for field, _ in _DETECTORS)
+            return getattr(import_module(f".{module}", __package__), name)
+    fields = ", ".join(field for field, _, _ in _DETECTORS)
     raise ValueError(f"cannot detect structure: expected one of the fields {fields}")
 
 
-def structure_from_json(obj: dict) -> Structure:
+def structure_from_json(obj: dict):
     return detect(obj).from_json(obj)
 
 
-def loads(text: str) -> Structure:
+def loads(text: str):
     return structure_from_json(json.loads(text))
+
+
+def _render(value, nl: str) -> str:
+    """`value` as indent-2, sorted-key JSON; `nl` is a newline plus the current indent."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return repr(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = nl + "  "
+        return "[" + inner + ("," + inner).join([_render(item, inner) for item in value]) + nl + "]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = nl + "  "
+        return (
+            "{" + inner
+            + ("," + inner).join([_quote(key) + ": " + _render(value[key], inner)
+                                  for key in sorted(value)])
+            + nl + "}"
+        )
+    raise TypeError(f"cannot render a value of type {kind.__name__} as JSON")
 
 
 def dumps(payload) -> str:
     """Deterministic rendering used for every artifact this package writes."""
     if hasattr(payload, "to_json"):
         payload = payload.to_json()
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return _render(payload, "\n") + "\n"

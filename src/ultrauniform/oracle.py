@@ -158,32 +158,56 @@ def enumerate_topologies(n: int) -> Iterator[FiniteTopology]:
             yield FiniteTopology(carrier, family)
 
 
-def enumerate_topologies_by_closure(n: int) -> Iterator[FiniteTopology]:
-    """Same topologies, independently: close every seed family, deduplicate."""
-    if n > MAX_TOPOLOGY_POINTS:
-        raise ValueError(f"exhaustive topology enumeration capped at n={MAX_TOPOLOGY_POINTS}")
+def _partial_orders(k: int) -> Iterator[list[int]]:
+    """Every partial order on 0..k-1, as rows: row i is the mask of the j >= i.
+
+    An order on k points restricts to one on the first k-1 and is fixed by
+    the down-set D below and the up-set U above the new point, where U lies
+    above every member of D and misses D; so each order arises once.
+    """
+    if k == 0:
+        yield []
+        return
+    new = 1 << (k - 1)
+    for up in _partial_orders(k - 1):
+        up_sets = [u for u in range(new) if all(up[i] & ~u == 0 for i in bits(u))]
+        for u_below in up_sets:
+            below = (new - 1) & ~u_below  # a down-set: the complement of an up-set
+            above_all = new - 1
+            for i in bits(below):
+                above_all &= up[i]
+            for above in up_sets:
+                if above & ~above_all == 0 and above & below == 0:
+                    rows = [row | new if below >> i & 1 else row for i, row in enumerate(up)]
+                    rows.append(new | above)
+                    yield rows
+
+
+def enumerate_preorder_topologies(n: int) -> Iterator[FiniteTopology]:
+    """Every topology on n points once, built from its specialization preorder.
+
+    A finite topology is the family of up-sets of a preorder (Alexandroff
+    1937), and a preorder is a partition into its classes plus a partial
+    order on the blocks; the opens are the unions of the blocks of each
+    up-set of that order.  This yields the topologies that
+    `enumerate_topologies` filters out of all families, without the filter.
+    """
     carrier = Carrier(n)
-    full = carrier.full_mask
-    proper = [m for m in range(1, full)]
-    seen = set()
-    for code in range(1 << len(proper)):
-        family = {0, full}
-        family.update(proper[i] for i in bits(code))
-        while True:
-            members = sorted(family)
-            added = False
-            for i, a in enumerate(members):
-                for b in members[i + 1 :]:
-                    for c in (a | b, a & b):
-                        if c not in family:
-                            family.add(c)
-                            added = True
-            if not added:
-                break
-        key = frozenset(family)
-        if key not in seen:
-            seen.add(key)
-            yield FiniteTopology(carrier, family)
+    up_set_families: dict[int, list[list[int]]] = {}  # per block count, per order
+    for p in enumerate_partitions(n):
+        blocks = p.masks
+        k = len(blocks)
+        if k not in up_set_families:
+            up_set_families[k] = [
+                [s for s in range(1 << k) if all(up[i] & ~s == 0 for i in bits(s))]
+                for up in _partial_orders(k)
+            ]
+        unions = [0] * (1 << k)  # unions[s]: the points of the blocks in s
+        for s in range(1, 1 << k):
+            low = s & -s
+            unions[s] = unions[s ^ low] | blocks[low.bit_length() - 1]
+        for up_sets in up_set_families[k]:
+            yield FiniteTopology(carrier, [unions[s] for s in up_sets])
 
 
 def enumerate_equivalence_bases(n: int, max_generators: int = 3) -> Iterator[DiagonalBasis]:
@@ -604,7 +628,9 @@ def theorem_sweep(theorem_id: str, spec: EnumerationSpec) -> SweepReport:
     first: Optional[object] = None
 
     if canonical == "T3.2":
-        for t in enumerate_topologies(spec.n):
+        if spec.n > MAX_TOPOLOGY_POINTS:
+            raise ValueError(f"exhaustive topology enumeration capped at n={MAX_TOPOLOGY_POINTS}")
+        for t in enumerate_preorder_topologies(spec.n):
             checked += 1
             ta, problem = _check_separation(t)
             if problem is not None:

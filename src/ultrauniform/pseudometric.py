@@ -15,6 +15,7 @@ rows, one big-int expression per pair of points.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -29,20 +30,40 @@ from .core import (
 from .uniformity import DiagonalBasis, is_non_archimedean
 
 
+# "p" or "p/q" in ASCII digits, at most 4300 of them in each part (the
+# default int() digit limit, held here however the interpreter is set, since
+# int() takes time quadratic in the digits); `Fraction` would also take
+# decimals and exponents, and "1e1000000000" would make it build a 415 MB integer
+_RATIONAL = re.compile(r"([+-]?[0-9]{1,4300})(?:/([0-9]{1,4300}))?")
+
+
+def _shown(value) -> str:
+    """repr(value) for an error message, cut short when it is long."""
+    text = repr(value)
+    if len(text) <= 60:
+        return text
+    return f"{text[:40]}... ({len(text)} characters)"
+
+
 def _as_fraction(value, what: str) -> Fraction:
-    """An int (not a bool), a Fraction or a rational string, named `what` in errors."""
+    """An int (not a bool), a Fraction or a string "p" or "p/q", named `what` in errors."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except ZeroDivisionError:
-            raise ValueError(f"{what} has a zero denominator: {value!r}") from None
-        except ValueError:
-            pass
-    raise ValueError(f"{what} is not an exact rational: {value!r}")
+        match = _RATIONAL.fullmatch(value)
+        if match is not None:
+            num, den = match.groups()
+            try:
+                num, den = int(num), int(den or 1)
+            except ValueError:  # over an int() digit limit set below 4300
+                pass
+            else:
+                if den == 0:
+                    raise ValueError(f"{what} has a zero denominator: {_shown(value)}")
+                return Fraction(num, den)
+    raise ValueError(f"{what} is not an exact rational: {_shown(value)}")
 
 
 def _triangle_failure(grid: Sequence[Sequence[int]]) -> tuple[int, int, int] | None:

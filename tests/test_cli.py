@@ -1,5 +1,6 @@
 """The command-line surface: verbs, exit codes, and determinism."""
 
+import importlib
 import io
 import json
 import os
@@ -11,6 +12,8 @@ from pathlib import Path
 import pytest
 
 from ultrauniform.cli import (
+    _VALIDATORS,
+    _cmd_validate,
     congruence_relation,
     ideal_chain_basis,
     main,
@@ -18,7 +21,7 @@ from ultrauniform.cli import (
     padic_valuation,
 )
 from ultrauniform.core import Carrier, Relation, eq_closure, is_equivalence
-from ultrauniform.jsonio import dumps
+from ultrauniform.jsonio import _DETECTORS, dumps
 from ultrauniform.oracle import check_strong_triangle
 from ultrauniform.pseudometric import Pseudometric, PseudometricSystem, basis_from_system
 from ultrauniform.topology import sierpinski_topology
@@ -135,6 +138,21 @@ class TestTopoCheck:
 
 
 class TestValidate:
+    def test_validate_table_covers_every_detected_type(self):
+        for _, module, name in _DETECTORS:
+            validator = _VALIDATORS[f"ultrauniform.{module}", name]
+            layer = importlib.import_module(f"ultrauniform.{module}")
+            assert isinstance(getattr(layer, name), type)
+            assert validator is None or callable(getattr(layer, validator))
+
+    def test_validate_refuses_a_type_it_does_not_know(self):
+        renamed = type("RenamedBasis", (DiagonalBasis,),
+                       {"__module__": "ultrauniform.uniformity", "__slots__": ()})
+        structure = DiagonalBasis.from_json(json.loads(NA_BASIS_JSON))
+        structure.__class__ = renamed
+        with pytest.raises(KeyError):
+            _cmd_validate(structure)
+
     def test_valid_basis(self, capsys):
         code, obj = run(capsys, "validate", "--in", BASIS_JSON)
         assert code == 0
@@ -221,12 +239,33 @@ class TestValidate:
         [
             ('[[0, "1/2"], ["1/0", 0]]', "field 'dist[1][0]' has a zero denominator: '1/0'"),
             ('[[0, "half"], ["1/2", 0]]', "field 'dist[0][1]' is not an exact rational: 'half'"),
+            ('[[0, "0.5"], ["0.5", 0]]', "field 'dist[0][1]' is not an exact rational: '0.5'"),
+            ('[[0, "1/2"], ["1e3", 0]]', "field 'dist[1][0]' is not an exact rational: '1e3'"),
         ],
     )
     def test_bad_distance_names_its_cell(self, capsys, dist, message):
         code, obj = run(capsys, "validate", "--in", f'{{"n": 2, "dist": {dist}}}')
         assert code == 2
         assert obj == {"error": message}
+
+    def test_huge_exponent_refused_before_any_work(self):
+        # Fraction("1e1000000000") would build a 415 MB integer: the child
+        # runs under a 512 MB address-space limit and a 20 s timeout
+        import resource
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+        cell = '"1e1000000000"'
+        proc = subprocess.run(
+            [sys.executable, "-m", "ultrauniform.cli", "metrize", "--in",
+             f'{{"n": 2, "dist": [[0, {cell}], [{cell}, 0]]}}'],
+            env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
+            timeout=20, preexec_fn=limit_memory,
+        )
+        assert proc.returncode == 2, proc.stderr[-500:]
+        message = "field 'dist[0][1]' is not an exact rational: '1e1000000000'"
+        assert json.loads(proc.stdout) == {"error": message}
 
     @pytest.mark.parametrize("source", ["stdin", "file"])
     def test_deeply_nested_json_exit_two(self, capsys, monkeypatch, tmp_path, source):
@@ -425,6 +464,40 @@ class TestStartup:
         loaded = loaded_modules("import ultrauniform.oracle") - bare
         assert "ultrauniform.oracle" in loaded
         assert "dataclasses" not in loaded
+
+    def test_cli_import_loads_no_layer(self):
+        bare = loaded_modules("pass")
+        loaded = loaded_modules("import ultrauniform.cli") - bare
+        assert loaded >= {"ultrauniform", "ultrauniform.cli", "ultrauniform.jsonio"}
+        layers = ("core", "uniformity", "pseudometric", "topology", "oracle")
+        assert not loaded & ({f"ultrauniform.{m}" for m in layers} | {"fractions", "decimal"})
+
+    @pytest.mark.parametrize(
+        "argv, skipped",
+        [
+            (["validate", "--in", NA_BASIS_JSON], {"topology", "pseudometric", "oracle"}),
+            (["check-na", "--in", NA_BASIS_JSON], {"topology", "pseudometric", "oracle"}),
+            (["convert", "--in", COVERS_JSON, "--to", "diagonal"], {"topology", "pseudometric"}),
+            (["roundtrip", "--in", NA_BASIS_JSON], {"topology", "pseudometric", "oracle"}),
+            (["topo-check", "--in", TOPOLOGY_JSON], {"pseudometric", "oracle"}),
+            (["gen", "padic", "--p", "2", "--size", "8"], {"topology", "oracle"}),
+            (["gen", "ideal-chain"], {"topology", "pseudometric", "oracle"}),
+        ],
+        ids=["validate", "check-na", "convert", "roundtrip", "topo-check", "gen padic",
+             "gen ideal-chain"],
+    )
+    def test_each_verb_loads_only_its_layers(self, argv, skipped):
+        statement = (
+            "import contextlib, io\n"
+            "from ultrauniform.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    main({argv!r})"
+        )
+        loaded = loaded_modules(statement)
+        assert {"ultrauniform.core", "ultrauniform.uniformity"} <= loaded
+        assert not loaded & {f"ultrauniform.{m}" for m in skipped}
+        if "pseudometric" in skipped:
+            assert not loaded & {"fractions", "decimal"}
 
     def test_sweep_runs_in_a_subprocess(self):
         proc = fresh_python("-m", "ultrauniform.cli", "sweep", "--theorem", "T3.2", "--n", "2")

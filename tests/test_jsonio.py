@@ -1,12 +1,18 @@
 """Payload detection and deterministic rendering."""
 
+import gc
+import json
+import random
+
 import pytest
 
+from ultrauniform.cli import main, padic_pseudometric
 from ultrauniform.core import Carrier, Partition, Relation
 from ultrauniform.jsonio import detect, dumps, loads, structure_from_json
-from ultrauniform.pseudometric import Chain, Pseudometric, PseudometricSystem
+from ultrauniform.oracle import EnumerationSpec, theorem_sweep
+from ultrauniform.pseudometric import Chain, Pseudometric, PseudometricSystem, chain_pm
 from ultrauniform.topology import FiniteTopology
-from ultrauniform.uniformity import Cover, CoverBasis, DiagonalBasis
+from ultrauniform.uniformity import Cover, CoverBasis, DiagonalBasis, validate_diagonal
 
 
 def test_detection_table():
@@ -50,3 +56,124 @@ def test_dumps_is_deterministic_and_sorted():
 def test_missing_n_named():
     with pytest.raises(ValueError, match="'n'"):
         structure_from_json({"pairs": [[0, 1]], "n": "three"})
+
+
+# -- the renderer against json.dumps(indent=2, sort_keys=True) ---------------
+
+
+def reference(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def readme_structures():
+    """One value of every JSON format that README lists."""
+    c3 = Carrier(3)
+    e01 = Relation.from_pairs(c3, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 0)])
+    basis = DiagonalBasis(c3, [e01, Relation.full(c3)])
+    d = Pseudometric(c3, [[0, "1/2", 1], ["1/2", 0, 1], [1, 1, 0]])
+    return [
+        e01,
+        Partition(c3, [[0, 1], [2]]),
+        basis,
+        CoverBasis(c3, [Cover(c3, [[0, 1], [1, 2]]), Cover(c3, [[0], [1, 2]])]),
+        d,
+        PseudometricSystem(c3, [d, chain_pm(Chain(c3, [Relation.full(c3), e01]))]),
+        Chain(c3, [Relation.full(c3), e01]),
+        FiniteTopology(Carrier(2), [0, 0b10, 0b11]),
+        validate_diagonal(basis),
+        validate_diagonal(DiagonalBasis(c3, [Relation.from_pairs(c3, [(0, 0), (1, 1), (2, 2), (0, 1)])])),
+        theorem_sweep("T3.2", EnumerationSpec(kind="topologies", n=2)),
+        padic_pseudometric(3, 27),
+    ]
+
+
+@pytest.mark.parametrize("structure", readme_structures(), ids=lambda s: type(s).__name__)
+def test_dumps_matches_stdlib_on_every_format(structure):
+    assert dumps(structure) == reference(structure.to_json())
+
+
+BASIS = '{"n": 4, "entourages": [{"n": 4, "pairs": [[0, 0], [1, 1], [2, 2], [3, 3], [0, 1], [1, 0]]}]}'
+BAD_BASIS = '{"n": 3, "entourages": [{"n": 3, "pairs": [[0, 0], [1, 1], [2, 2], [0, 1]]}]}'
+COVERS = '{"n": 4, "covers": [[[0, 1], [2, 3]], [[0, 1, 2], [3]]]}'
+TOPOLOGY = '{"n": 3, "opens": [[], [0], [0, 1], [2], [0, 2], [0, 1, 2]]}'
+VERB_ARGVS = [
+    ["validate", "--in", BASIS],
+    ["validate", "--in", BAD_BASIS],
+    ["validate", "--in", COVERS],
+    ["validate", "--in", TOPOLOGY],
+    ["validate", "--in", '{"n": 2, "dist": [[0, "1/3"], ["1/3", 0]]}'],
+    ["convert", "--in", BASIS, "--to", "cover"],
+    ["convert", "--in", COVERS, "--to", "diagonal"],
+    ["check-na", "--in", BASIS],
+    ["metrize", "--in", BASIS],
+    ["pm-system", "--in", BASIS],
+    ["topo-check", "--in", TOPOLOGY],
+    ["uniformize", "--in", TOPOLOGY],
+    ["uniformize", "--in", '{"n": 2, "opens": [[], [1], [0, 1]]}'],
+    ["roundtrip", "--in", BASIS],
+    ["roundtrip", "--in", BAD_BASIS],
+    ["sweep", "--theorem", "T3.2", "--n", "3"],
+    ["sweep", "--theorem", "T2.4", "--n", "4", "--trials", "3", "--seed", "2"],
+    ["gen", "padic", "--p", "5", "--size", "30"],
+    ["gen", "ideal-chain", "--modulus", "9", "--ideal", "3", "--depth", "2"],
+    ["validate", "--in", '{"n": 2, "dist": [[0, "\\u00e9\\n\\"x"], [0, 0]]}'],
+    ["validate", "--in", "{not json"],
+]
+
+
+@pytest.mark.parametrize("argv", VERB_ARGVS, ids=lambda argv: " ".join(argv[:2]))
+def test_dumps_matches_stdlib_on_every_verb(capsys, argv):
+    main(argv)
+    out = capsys.readouterr().out
+    assert out == reference(json.loads(out))
+
+
+def random_payload(rng: random.Random, depth: int):
+    kind = rng.randrange(9 if depth else 6)
+    if kind == 0:
+        return rng.choice([0, 1, -1, 7, 2**70, -(3**50)])
+    if kind == 1:
+        return rng.choice([True, False, None])
+    if kind <= 5:
+        alphabet = "ab/0\"\\\n\t\x00\x1f\x7f é€\U0001d11e\ud800"
+        return "".join(rng.choice(alphabet) for _ in range(rng.randrange(6)))
+    if kind <= 7:
+        items = [random_payload(rng, depth - 1) for _ in range(rng.randrange(5))]
+        return tuple(items) if rng.random() < 0.2 else items
+    keys = [random_payload(rng, 0) for _ in range(rng.randrange(5))]
+    return {k if isinstance(k, str) else str(k): random_payload(rng, depth - 1) for k in keys}
+
+
+def test_dumps_matches_stdlib_on_seeded_payloads():
+    rng = random.Random(20211)
+    for _ in range(3000):
+        payload = random_payload(rng, rng.randrange(5))
+        assert dumps(payload) == reference(payload)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"x": 0.5},
+        [1, [2, float("inf")]],
+        {2: "int key", 1: None},
+        {"s": type("Text", (str,), {})("sub")},
+        {"set": {1, 2}},
+    ],
+    ids=["float", "nested float", "int keys", "str subclass", "set"],
+)
+def test_dumps_refuses_values_outside_the_library_shapes(payload):
+    with pytest.raises(TypeError):
+        dumps(payload)
+
+
+def test_dumps_leaves_no_garbage():
+    payloads = [s.to_json() for s in readme_structures()]
+    gc.collect()
+    gc.disable()
+    try:
+        for payload in payloads:
+            dumps(payload)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

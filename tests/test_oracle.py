@@ -1,20 +1,23 @@
 """The enumerators and sweeps themselves, cross-checked two ways each."""
 
 import random
+import time
 
 import pytest
 
 from ultrauniform.core import Relation, is_equivalence
+from ultrauniform.jsonio import dumps
 from ultrauniform.oracle import (
     DEFAULT_SEED,
     EnumerationSpec,
+    SweepReport,
     bell_number,
     enumerate_covers,
     enumerate_partitions,
+    enumerate_preorder_topologies,
     enumerate_relations,
     enumerate_structures,
     enumerate_topologies,
-    enumerate_topologies_by_closure,
     enumerate_uniformities,
     enumerate_valid_cover_bases,
     is_uniformity_filter,
@@ -23,7 +26,13 @@ from ultrauniform.oracle import (
     random_valid_basis,
     theorem_sweep,
 )
-from ultrauniform.oracle import check_pseudometric, check_strong_triangle
+from ultrauniform.oracle import (
+    _check_separation,
+    _partial_orders,
+    check_pseudometric,
+    check_strong_triangle,
+)
+from ultrauniform.topology import validate_topology
 from ultrauniform.uniformity import validate_cover, validate_diagonal
 
 
@@ -38,10 +47,23 @@ class TestCounts:
         assert len(seen) == 15
 
     def test_topology_counts_two_methods_agree(self):
+        # the filter over all families against the preorder construction
         for n in range(1, 5):
             direct = {t.opens for t in enumerate_topologies(n)}
-            closed = {t.opens for t in enumerate_topologies_by_closure(n)}
-            assert direct == closed
+            built = [t.opens for t in enumerate_preorder_topologies(n)]
+            assert len(built) == len(set(built))
+            assert direct == set(built)
+
+    def test_preorder_topologies_n5(self):
+        started = time.perf_counter()
+        built = list(enumerate_preorder_topologies(5))
+        assert len(built) == len({t.opens for t in built}) == 6942
+        assert all(validate_topology(t).valid for t in built)
+        assert time.perf_counter() - started < 10
+
+    def test_partial_order_counts(self):
+        # labelled posets on 0..5 points (OEIS A001035)
+        assert [sum(1 for _ in _partial_orders(k)) for k in range(6)] == [1, 1, 3, 19, 219, 4231]
 
     def test_topology_counts_documented_values(self):
         # labeled topologies on 1..4 points; the external count table is
@@ -143,6 +165,26 @@ class TestSweeps:
         assert report.satisfying == 5
         assert report.discrepancies == 0
         assert report.first_counterexample is None
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_separation_sweep_equals_the_filtered_one(self, n):
+        # the sweep enumerates preorders; the filter over all families must
+        # give the same report, byte for byte
+        checked = satisfying = 0
+        for t in enumerate_topologies(n):
+            ta, problem = _check_separation(t)
+            assert problem is None
+            checked += 1
+            satisfying += ta
+        expected = SweepReport("T3.2", n, checked, satisfying, 0, None, None)
+        report = theorem_sweep("T3.2", EnumerationSpec(kind="topologies", n=n))
+        assert dumps(report) == dumps(expected)
+
+    @pytest.mark.parametrize("n", [0, 5])
+    def test_separation_sweep_cap_and_empty_carrier(self, n):
+        message = "capped at n=4" if n else "positive number of points"
+        with pytest.raises(ValueError, match=message):
+            theorem_sweep("T3.2", EnumerationSpec(kind="topologies", n=n))
 
     def test_representations_sweep_exhaustive(self):
         report = theorem_sweep(

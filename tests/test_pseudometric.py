@@ -1,7 +1,11 @@
 """Ultrametric checks, ball relations, chains, and metrization."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -72,6 +76,54 @@ class TestConstruction:
     def test_rejects_booleans(self, flag):
         with pytest.raises(ValueError, match="not an exact rational"):
             pm([[0, flag], [flag, 0]], n=2)
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [("3", 3), ("+2/4", Fraction(1, 2)), ("-0", 0), ("007/010", Fraction(7, 10))],
+    )
+    def test_accepts_integer_and_ratio_strings(self, text, value):
+        assert pm([[0, text], [text, 0]], n=2).d(0, 1) == value
+
+    @pytest.mark.parametrize(
+        "text", ["0.5", "1e3", "1E-2", "1e1000000", " 1/2", "1 / 2", "1_0", "1/-2", "0x10",
+                 "\u0661", "1" * 4301]
+    )
+    def test_refuses_every_other_string(self, text):
+        with pytest.raises(ValueError, match="not an exact rational"):
+            pm([[0, text], [text, 0]], n=2)
+
+    def test_refused_long_string_is_cut_short_in_the_message(self):
+        with pytest.raises(ValueError) as info:
+            pm([[0, "7" * 5000], ["7" * 5000, 0]], n=2)
+        message = str(info.value)
+        assert message.startswith("field 'dist[0][1]' is not an exact rational: '7777")
+        assert message.endswith("... (5002 characters)")
+        assert len(message) < 120
+
+    def test_digit_bound_holds_without_the_interpreter_limit(self):
+        # with int()'s own digit limit switched off, the pattern still refuses
+        # a part of more than 4300 digits before int() sees it
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        probe = (
+            "import sys\n"
+            "from ultrauniform.core import Carrier\n"
+            "from ultrauniform.pseudometric import Pseudometric\n"
+            "assert sys.get_int_max_str_digits() == 0\n"
+            "ok = '9' * 4300\n"
+            "assert Pseudometric(Carrier(2), [[0, ok], [ok, 0]]).d(0, 1) == 10**4300 - 1\n"
+            "for cell in ['9' * 4301, '1/' + '9' * 4301, '9' * 10**6]:\n"
+            "    try:\n"
+            "        Pseudometric(Carrier(2), [[0, cell], [cell, 0]])\n"
+            "    except ValueError as exc:\n"
+            "        assert 'not an exact rational' in str(exc) and len(str(exc)) < 120\n"
+            "    else:\n"
+            "        raise AssertionError(len(cell))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-X", "int_max_str_digits=0", "-c", probe],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
 
     def test_only_the_grid_is_stored(self):
         d = pm([[0, "1/2", "1/3"], ["1/2", 0, "1/2"], ["1/3", "1/2", 0]])
