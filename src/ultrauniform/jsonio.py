@@ -64,7 +64,11 @@ def _render(value, nl: str) -> str:
         if not value:
             return "[]"
         inner = nl + "  "
-        return "[" + inner + ("," + inner).join([_render(item, inner) for item in value]) + nl + "]"
+        if set(map(type, value)) == {str}:  # rows of distances, quoted in one pass
+            items = map(_quote, value)
+        else:
+            items = [_render(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
     if kind is dict:
         if not value:
             return "{}"

@@ -8,8 +8,13 @@ library's own builders (`sup_pm`, `chain_pm`, the p-adic generator) write
 grids directly; `Fraction`s appear only at the boundary: the public
 constructor parses them, and `dist`, `d()`, `values()` and `to_json()`
 build `Fraction`s or "p/q" strings from the grid on each call, once per
-distinct grid value.  The triangle inequality is decided on packed grid
-rows, one big-int expression per pair of points.
+distinct grid value.  A table is checked on its grid, with each row packed
+into one int: a table with at most n distinct values is first tested for
+the strong triangle inequality, one big-int expression per distinct value of
+each row, and passes as an ultrametric (hence a pseudo-metric).  Only a
+table with more values, or one that fails there, runs the triangle scan of
+one big-int expression per pair of points, which names its first failing
+(z, x, y); `is_na` runs the same ultrametric test.
 """
 
 from __future__ import annotations
@@ -66,30 +71,69 @@ def _as_fraction(value, what: str) -> Fraction:
     raise ValueError(f"{what} is not an exact rational: {_shown(value)}")
 
 
-def _triangle_failure(grid: Sequence[Sequence[int]]) -> tuple[int, int, int] | None:
+def _pack(grid: Sequence[Sequence[int]], values: set[int]) -> tuple[int, list[int]]:
+    """Field width w and the rows packed into ints, one w-bit field per column.
+
+    `values` are the grid's distinct entries, all nonnegative; column 0 is
+    the lowest field.  w - 1 = (2m).bit_length() for the largest entry m,
+    which leaves room for a guard bit at the top of every field.
+    """
+    w = (2 * max(values)).bit_length() + 1
+    spec = f"0{w}b"
+    bits = {v: format(v, spec) for v in values}
+    return w, [int("".join(map(bits.__getitem__, reversed(row))), 2) for row in grid]
+
+
+def _is_ultrametric(grid: Sequence[Sequence[int]], w: int, packed: Sequence[int]) -> bool:
+    """Whether every level {d <= v} is an equivalence, i.e. grid is an ultrametric.
+
+    The grid must be symmetric, nonnegative and zero on the diagonal, with
+    rows packed by `_pack`.  The balls of a point x are the sets
+    {y | grid[x][y] <= v} for the values v its row holds; each is one
+    big-int expression, whose surviving guard bits in
+    (packed[x] | guards) - (v + 1) * ones mark the columns outside it.  In an
+    ultrametric every point of a ball B has B among its own balls.
+    Conversely, if it does, then d(x,z) > max(d(x,y), d(y,z)) is impossible:
+    the ball {u | d(x,u) < d(x,z)} holds y but not z, so as a ball of y it
+    gives d(y,z) > d(y,x), and the ball {u | d(z,u) < d(x,z)} of z gives
+    d(y,x) > d(y,z).  A point lies in each of its balls and has each once,
+    so a ball B belongs to at most |B| points, and to all of them iff the
+    sizes of the distinct balls add up to the number of (point, ball) pairs.
+    That is sum_x |set(grid[x])| big-int steps, against n^2 for the scan.
+    """
+    n = len(grid)
+    ones = ((1 << w * n) - 1) // ((1 << w) - 1)
+    guards = ones << (w - 1)
+    outside = []  # per (point, ball): the guard bits of the columns outside the ball
+    for row, bits in zip(grid, packed):
+        biased = (bits | guards) - ones
+        for v in set(row):
+            outside.append((biased - v * ones) & guards)
+    balls = set(outside)
+    return n * len(balls) - sum(map(int.bit_count, balls)) == len(outside)
+
+
+def _triangle_failure(
+    grid: Sequence[Sequence[int]], w: int, packed: Sequence[int]
+) -> tuple[int, int, int] | None:
     """First (z, x, y) with y > x and grid[x][y] > grid[x][z] + grid[z][y].
 
     The grid must already be symmetric, nonnegative and zero on the
-    diagonal.  Each row is packed into one int, one field of width w per
-    column, with a guard bit set at the top of every field.  For a pair
-    (z, x) the expression
+    diagonal, with rows packed by `_pack`; a guard bit is set at the top of
+    every field.  For a pair (z, x) the expression
 
         (packed[z] | guards) + grid[z][x] * ones - packed[x]
 
     holds guard + grid[z][x] + grid[z][y] - grid[x][y] in field y.  Entries
-    are at most m and w - 1 = (2m).bit_length(), so every field stays in
-    [guard - m, guard + 2m] with no carry or borrow between fields, and the
-    guard bit of field y is cleared exactly when the triangle through z
-    fails for (x, y).  Scanning z, then x, the first pair with a cleared
-    guard only fails for y > x (a failure at y < x is the same triangle as
-    one found earlier at the pair (z, y)), and its lowest cleared guard is
-    the first y of a (z, x, y > x) scan.  With one big-int expression per
-    pair the check takes O(n^2) Python steps.
+    are at most m, so every field stays in [guard - m, guard + 2m] with no
+    carry or borrow between fields, and the guard bit of field y is cleared
+    exactly when the triangle through z fails for (x, y).  Scanning z, then
+    x, the first pair with a cleared guard only fails for y > x (a failure
+    at y < x is the same triangle as one found earlier at the pair (z, y)),
+    and its lowest cleared guard is the first y of a (z, x, y > x) scan.
+    With one big-int expression per pair the check takes O(n^2) Python steps.
     """
     n = len(grid)
-    w = (2 * max(map(max, grid))).bit_length() + 1
-    bits = {v: format(v, f"0{w}b") for v in set().union(*grid)}
-    packed = [int("".join(map(bits.__getitem__, reversed(row))), 2) for row in grid]
     ones = int(("0" * (w - 1) + "1") * n, 2)
     guards = ones << (w - 1)
     for z in range(n):
@@ -113,14 +157,14 @@ class Pseudometric:
         if len(dist) != n or any(len(row) != n for row in dist):
             raise ValueError("distance table must be n x n")
         try:
-            table = [[_as_fraction(v, "distance") for v in row] for row in dist]
+            ratios = [[_as_fraction(v, "distance").as_integer_ratio() for v in row] for row in dist]
         except ValueError:  # parse again, naming each cell, to report the first refused one
             for x, row in enumerate(dist):
                 for y, v in enumerate(row):
                     _as_fraction(v, f"field 'dist[{x}][{y}]'")
             raise
-        scale = math.lcm(*{v.denominator for row in table for v in row})
-        grid = [[v.numerator * (scale // v.denominator) for v in row] for row in table]
+        scale = math.lcm(*{q for row in ratios for _, q in row})
+        grid = [[p * (scale // q) for p, q in row] for row in ratios]
         self._store(carrier, grid, scale)
 
     @classmethod
@@ -133,24 +177,32 @@ class Pseudometric:
         return d
 
     def _store(self, carrier: Carrier, grid: Sequence[Sequence[int]], scale: int) -> None:
+        values = set().union(*grid)
         # lowest terms: afterwards scale is the lcm of the reduced denominators
-        c = math.gcd(scale, *(g for row in grid for g in row))
+        c = math.gcd(scale, *values)
         if c > 1:
             grid = [[g // c for g in row] for row in grid]
+            values = {v // c for v in values}
         grid = tuple(map(tuple, grid))
         n = carrier.n
-        for x in range(n):
-            if grid[x][x] != 0:
-                raise ValueError(f"nonzero self-distance at point {x}")
-            for y in range(x + 1, n):
-                if grid[x][y] != grid[y][x]:
-                    raise ValueError(f"asymmetric distances at ({x},{y})")
-                if grid[x][y] < 0:
-                    raise ValueError(f"negative distance at ({x},{y})")
-        failure = _triangle_failure(grid)
-        if failure is not None:
-            z, x, y = failure
-            raise ValueError(f"triangle inequality fails at ({x},{y}) via {z}")
+        diagonal = map(tuple.__getitem__, grid, range(n))
+        if min(values) < 0 or any(diagonal) or grid != tuple(zip(*grid)):
+            for x in range(n):  # report the first bad cell
+                if grid[x][x] != 0:
+                    raise ValueError(f"nonzero self-distance at point {x}")
+                for y in range(x + 1, n):
+                    if grid[x][y] != grid[y][x]:
+                        raise ValueError(f"asymmetric distances at ({x},{y})")
+                    if grid[x][y] < 0:
+                        raise ValueError(f"negative distance at ({x},{y})")
+        # an ultrametric on n points takes at most n - 1 positive values, and
+        # is a pseudometric; any other table is decided by the triangle scan
+        w, packed = _pack(grid, values)
+        if len(values) > n or not _is_ultrametric(grid, w, packed):
+            failure = _triangle_failure(grid, w, packed)
+            if failure is not None:
+                z, x, y = failure
+                raise ValueError(f"triangle inequality fails at ({x},{y}) via {z}")
         self.carrier = carrier
         self.scale = scale // c
         self.grid = grid
@@ -209,19 +261,15 @@ class Pseudometric:
 
 
 def is_na(d: Pseudometric) -> bool:
-    """Strong triangle inequality d(x,y) <= max(d(x,z), d(z,y)) on all triples."""
-    n = d.n
-    grid = d.grid
-    for z in range(n):
-        gz = grid[z]
-        for x in range(n):
-            gxz = grid[x][z]
-            gx = grid[x]
-            for y in range(x + 1, n):
-                gzy = gz[y]
-                if gx[y] > (gxz if gxz >= gzy else gzy):
-                    return False
-    return True
+    """Strong triangle inequality d(x,y) <= max(d(x,z), d(z,y)) on all triples.
+
+    Decided by the constructor's ultrametric test (`_is_ultrametric`); a
+    table with more than n distinct values is no ultrametric.
+    """
+    values = set().union(*d.grid)
+    if len(values) > d.n:
+        return False
+    return _is_ultrametric(d.grid, *_pack(d.grid, values))
 
 
 def sup_pm(ds: Sequence[Pseudometric]) -> Pseudometric:

@@ -151,16 +151,22 @@ def test_dumps_matches_stdlib_on_seeded_payloads():
         assert dumps(payload) == reference(payload)
 
 
+Text = type("Text", (str,), {})
+
+
 @pytest.mark.parametrize(
     "payload",
     [
         {"x": 0.5},
         [1, [2, float("inf")]],
         {2: "int key", 1: None},
-        {"s": type("Text", (str,), {})("sub")},
+        {"s": Text("sub")},
+        [Text("sub")],
+        ["a", Text("sub")],
         {"set": {1, 2}},
     ],
-    ids=["float", "nested float", "int keys", "str subclass", "set"],
+    ids=["float", "nested float", "int keys", "str subclass", "str subclass in a list",
+         "str subclass after a str", "set"],
 )
 def test_dumps_refuses_values_outside_the_library_shapes(payload):
     with pytest.raises(TypeError):

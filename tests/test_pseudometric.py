@@ -1,10 +1,12 @@
 """Ultrametric checks, ball relations, chains, and metrization."""
 
+import itertools
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -65,7 +67,7 @@ class TestConstruction:
             pm([[0, 1, 3], [1, 0, 1], [3, 1, 0]])
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^negative distance at \(0,1\)$"):
             pm([[0, -1, 1], [-1, 0, 1], [1, 1, 0]])
 
     def test_zero_denominator_is_a_value_error(self):
@@ -582,6 +584,103 @@ class TestTriangleKernel:
             assert_kernel_matches_reference(break_triangle(rng, d))
             assert_kernel_matches_reference(scramble_entry(rng, d))
         assert largest > 2**64
+
+
+# A table with at most n distinct values first takes the ultrametric test;
+# only a table that fails it (or has more values) is scanned.  These tests
+# hold both paths to the reference scan and is_na to the oracle.
+
+
+@lru_cache(maxsize=1)
+def small_tables():
+    """Every symmetric table with n <= 4, a zero diagonal and entries in {0..3}."""
+    tables = []
+    for n in range(1, 5):
+        cells = [(x, y) for x in range(n) for y in range(x + 1, n)]
+        for entries in itertools.product(range(4), repeat=len(cells)):
+            d = [[0] * n for _ in range(n)]
+            for (x, y), v in zip(cells, entries):
+                d[x][y] = d[y][x] = v
+            tables.append(d)
+    return tables
+
+
+def assert_is_na_matches_oracle(dist):
+    """is_na against the per-triple oracle; None when dist is no pseudo-metric."""
+    dist = [[Fraction(v) for v in row] for row in dist]
+    if not check_pseudometric(dist):
+        return None
+    na = is_na(Pseudometric(Carrier(len(dist)), dist))
+    assert na == check_strong_triangle(dist)
+    return na
+
+
+def lower_one_cell(rng, d):
+    """Copy of d with one positive distance lowered; usually no longer an ultrametric."""
+    n = len(d)
+    x, y = rng.choice([(x, y) for x in range(n) for y in range(x + 1, n) if d[x][y] > 0])
+    out = [row[:] for row in d]
+    out[x][y] = out[y][x] = d[x][y] * Fraction(rng.randint(0, 3), 4)
+    return out
+
+
+class TestUltrametricTest:
+    def test_every_small_table_is_decided_as_the_scan_decides(self):
+        tables = small_tables()
+        assert len(tables) == 4165
+        for d in tables:
+            assert_kernel_matches_reference(d)
+
+    def test_is_na_matches_the_oracle_on_every_small_pseudometric(self):
+        verdicts = [assert_is_na_matches_oracle(d) for d in small_tables()]
+        assert verdicts.count(True) > 0 and verdicts.count(False) > 0
+
+    def test_is_na_matches_the_oracle_on_path_metrics_and_broken_copies(self):
+        rng = random.Random(7)
+        verdicts = []
+        for _ in range(150):
+            n = rng.randint(3, 12)
+            for d in (
+                shortest_path_metric(rng, n, small_weight),
+                [list(row) for row in random_ultrametric(rng, n).dist],
+            ):
+                for table in (d, break_triangle(rng, d), scramble_entry(rng, d)):
+                    verdicts.append(assert_is_na_matches_oracle(table))
+        assert verdicts.count(True) > 100 and verdicts.count(False) > 100
+
+    def test_tables_with_more_values_than_points(self):
+        rng = random.Random(31)
+        outcomes = set()
+        for _ in range(200):
+            n = rng.randint(2, 9)
+            if rng.random() < 0.5:
+                d = shortest_path_metric(rng, n, small_weight)
+            else:
+                d = [[0] * n for _ in range(n)]
+                for x in range(n):
+                    for y in range(x + 1, n):
+                        d[x][y] = d[y][x] = rng.randint(1, 40)
+            if len({v for row in d for v in row}) <= n:
+                continue
+            assert_kernel_matches_reference(d)
+            outcomes.add(check_pseudometric([[Fraction(v) for v in row] for row in d]))
+        assert outcomes == {True, False}
+
+    def test_ultrametrics_with_one_cell_lowered(self):
+        rng = random.Random(13)
+        outcomes = []
+        for _ in range(300):
+            n = rng.randint(3, 12)
+            d = [list(row) for row in random_ultrametric(rng, n).dist]
+            if not any(map(any, d)):
+                continue
+            lowered = lower_one_cell(rng, d)
+            assert_kernel_matches_reference(lowered)
+            na = assert_is_na_matches_oracle(lowered)
+            if not check_strong_triangle(lowered):
+                outcomes.append(na is not None)
+        # the ultrametric test fails on these, so the scan accepts or refuses them
+        assert outcomes.count(True) > 20 and outcomes.count(False) > 20
 
 
 def seeded_tables():
