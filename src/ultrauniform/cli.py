@@ -222,20 +222,16 @@ def _cmd_roundtrip(structure) -> tuple[int, dict]:
 
 def _cmd_sweep(args) -> tuple[int, dict]:
     # the brute-force oracle is loaded only here, so the other verbs start faster
-    from .oracle import DEFAULT_SEED, EnumerationSpec, theorem_sweep
+    from .oracle import DEFAULT_SEED, theorem_sweep
 
-    sampled = args.trials is not None or args.seed is not None
     seed = args.seed
-    if sampled and seed is None:
+    if seed is None and args.trials is not None:
         env = os.environ.get("ULTRAUNIFORM_SEED")
-        seed = int(env) if env else DEFAULT_SEED
-    spec = EnumerationSpec(
-        kind="equivalence_bases",
-        n=args.n,
-        limit=args.trials,
-        seed=seed if sampled else None,
-    )
-    report = theorem_sweep(args.theorem, spec)
+        try:
+            seed = int(env) if env else DEFAULT_SEED
+        except ValueError:
+            raise ValueError(f"ULTRAUNIFORM_SEED must be an integer, got {env!r}") from None
+    report = theorem_sweep(args.theorem, args.n, args.trials, seed)
     return (EXIT_OK if report.discrepancies == 0 else EXIT_FALSE), report.to_json()
 
 

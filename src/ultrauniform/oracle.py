@@ -2,8 +2,14 @@
 
 Everything here is deliberately slow and direct: exhaustive enumeration
 of small structures, fixpoint closures, and per-triple checks that the
-main modules are tested against.  Sampled enumerations are deterministic
-given their seed.
+main modules are tested against.  Random generators are deterministic
+given their `random.Random`.
+
+The law sweeps are one table, `SWEEPS`: each theorem id maps to a row
+holding the largest n it enumerates exhaustively, its exhaustive instance
+source, its seeded draws (none for T3.2, which is exhaustive only) and a
+check returning (holds, problem).  `theorem_sweep` runs any row with one
+loop, after refusing input over the row's caps.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .core import (
     Carrier,
@@ -58,18 +64,12 @@ from .uniformity import (
 )
 
 DEFAULT_SEED = 1729
+DEFAULT_TRIALS = 100
 
+# Caps of the sweeps, so that the slowest sweep inside them runs in about 2 s.
 MAX_TOPOLOGY_POINTS = 4
 MAX_SAMPLED_POINTS = 8
-
-
-class EnumerationSpec(NamedTuple):
-    kind: str
-    n: int
-    max_generators: int = 3
-    max_covers: int = 2
-    limit: Optional[int] = None
-    seed: Optional[int] = None
+MAX_TRIALS = 1000
 
 
 class SweepReport(NamedTuple):
@@ -251,46 +251,6 @@ def enumerate_valid_cover_bases(n: int, max_covers: int = 2) -> Iterator[CoverBa
             cb = CoverBasis(carrier, combo)
             if validate_cover(cb).valid:
                 yield cb
-
-
-def enumerate_structures(spec: EnumerationSpec) -> Iterator[object]:
-    if spec.kind == "partitions":
-        gen: Iterator[object] = enumerate_partitions(spec.n)
-    elif spec.kind == "topologies":
-        gen = enumerate_topologies(spec.n)
-    elif spec.kind == "equivalence_bases":
-        if spec.seed is None:
-            gen = enumerate_equivalence_bases(spec.n, spec.max_generators)
-        else:
-            gen = _sampled(spec, random_equivalence_basis)
-    elif spec.kind == "uniformities":
-        gen = enumerate_uniformities(spec.n)
-    elif spec.kind == "valid_cover_bases":
-        if spec.seed is None:
-            gen = enumerate_valid_cover_bases(spec.n, spec.max_covers)
-        else:
-            gen = _sampled(spec, random_cover_basis)
-    else:
-        raise ValueError(f"unknown enumeration kind {spec.kind!r}")
-    if spec.limit is not None:
-        gen = _take(gen, spec.limit)
-    return gen
-
-
-def _take(gen: Iterator[object], limit: int) -> Iterator[object]:
-    for i, item in enumerate(gen):
-        if i >= limit:
-            return
-        yield item
-
-
-def _sampled(spec: EnumerationSpec, make) -> Iterator[object]:
-    if spec.n > MAX_SAMPLED_POINTS:
-        raise ValueError(f"sampled enumeration capped at n={MAX_SAMPLED_POINTS}")
-    rng = random.Random(spec.seed)
-    count = spec.limit if spec.limit is not None else 100
-    for _ in range(count):
-        yield make(rng, spec.n)
 
 
 # ---------------------------------------------------------------------------
@@ -537,64 +497,40 @@ def search_partition_basis(cb: CoverBasis) -> tuple[bool, Optional[CoverBasis]]:
 # ---------------------------------------------------------------------------
 # law sweeps
 
-SWEEP_ALIASES = {
-    "representations": "T2.4",
-    "separation": "T3.2",
-    "metrization": "T4.1",
-    "roundtrip": "R2.1-roundtrip",
-}
 
-SWEEP_DESCRIPTIONS = {
-    "T2.4": "equivalence-relation, partition-cover, and ultrametric views agree",
-    "T3.2": "clopen separation, zero-dimensionality, and uniformizability agree",
-    "T4.1": "a single ultrametric recovers any equivalence-generated uniformity",
-    "R2.1-roundtrip": "diagonal/covering conversions invert each other",
-}
-
-
-def _diagonal_instances(spec: EnumerationSpec) -> Iterator[DiagonalBasis]:
-    if spec.seed is None:
-        yield from enumerate_equivalence_bases(spec.n, spec.max_generators)
-    else:
-        rng = random.Random(spec.seed)
-        count = spec.limit if spec.limit is not None else 100
-        for _ in range(count):
-            yield random_equivalence_basis(rng, spec.n, spec.max_generators)
-
-
-def _check_representations(b: DiagonalBasis) -> Optional[str]:
+def _check_representations(b: DiagonalBasis) -> tuple[bool, Optional[str]]:
     _, witness = is_non_archimedean(b)
     if not all(map(is_equivalence, witness.entourages)) or not uniformity_equal(witness, b):
-        return "witness is not an equivalence basis of the uniformity"
+        return False, "witness is not an equivalence basis of the uniformity"
     if not uniformity_equal(basis_from_system(system_from_na_basis(b)), b):
-        return "induced system does not reproduce the uniformity"
+        return False, "induced system does not reproduce the uniformity"
     cb = cover_basis_from_diagonal(b)
     _, parts = has_partition_basis(cb)
     if not all(c.is_partition for c in parts.covers) or not covering_uniformity_equal(parts, cb):
-        return "witness is not a partition basis of the covering uniformity"
-    return None
+        return False, "witness is not a partition basis of the covering uniformity"
+    return True, None
 
 
-def _check_metrization(b: DiagonalBasis) -> Optional[str]:
+def _check_metrization(b: DiagonalBasis) -> tuple[bool, Optional[str]]:
     chain = descending_chain(b.entourages)
     d = chain_pm(chain)
     if not is_na(d):
-        return "metrization is not an ultrametric"
+        return False, "metrization is not an ultrametric"
     if not uniformity_equal(
         basis_from_system(PseudometricSystem(b.carrier, [d])), b
     ):
-        return "metrization induces a different uniformity"
+        return False, "metrization induces a different uniformity"
     steps = chain.steps
     half = Fraction(1, 2)
     for x in range(b.n):
         for y in range(b.n):
             v = d.d(x, y)
             if len(steps) >= 2 and v < half and not steps[1].has(x, y):
-                return "small distance escapes the second chain step"
+                return False, "small distance escapes the second chain step"
             for m in range(1, len(steps)):
                 if v < Fraction(1, m) and not steps[m].has(x, y):
-                    return "distance bound escapes its chain step"
-    return None
+                    return False, "distance bound escapes its chain step"
+    return True, None
 
 
 def _check_separation(t: FiniteTopology) -> tuple[bool, Optional[str]]:
@@ -606,88 +542,94 @@ def _check_separation(t: FiniteTopology) -> tuple[bool, Optional[str]]:
     return ta, None
 
 
-def _check_roundtrip_diagonal(b: DiagonalBasis) -> Optional[str]:
-    if not diagonal_roundtrip(b):
-        return "diagonal round trip moved the uniformity"
-    return None
-
-
-def _check_roundtrip_cover(cb: CoverBasis) -> Optional[str]:
-    if not cover_roundtrip(cb):
-        return "covering round trip moved the uniformity"
-    return None
-
-
-def theorem_sweep(theorem_id: str, spec: EnumerationSpec) -> SweepReport:
-    """Run one of the built-in law sweeps over an enumerated instance set."""
-    canonical = SWEEP_ALIASES.get(theorem_id, theorem_id)
-    if canonical not in SWEEP_DESCRIPTIONS:
-        known = sorted(SWEEP_DESCRIPTIONS) + sorted(SWEEP_ALIASES)
-        raise ValueError(f"unknown sweep {theorem_id!r}; expected one of {known}")
-    checked = satisfying = discrepancies = 0
-    first: Optional[object] = None
-
-    if canonical == "T3.2":
-        if spec.n > MAX_TOPOLOGY_POINTS:
-            raise ValueError(f"exhaustive topology enumeration capped at n={MAX_TOPOLOGY_POINTS}")
-        for t in enumerate_preorder_topologies(spec.n):
-            checked += 1
-            ta, problem = _check_separation(t)
-            if problem is not None:
-                discrepancies += 1
-                if first is None:
-                    first = {"topology": t.to_json(), "problem": problem}
-            elif ta:
-                satisfying += 1
-    elif canonical in ("T2.4", "T4.1"):
-        check = _check_representations if canonical == "T2.4" else _check_metrization
-        for b in _diagonal_instances(spec):
-            checked += 1
-            problem = check(b)
-            if problem is None:
-                satisfying += 1
-            else:
-                discrepancies += 1
-                if first is None:
-                    first = {"basis": b.to_json(), "problem": problem}
+def _check_roundtrip(s: object) -> tuple[bool, Optional[str]]:
+    if isinstance(s, DiagonalBasis):
+        holds, side = diagonal_roundtrip(s), "diagonal"
     else:
-        if spec.seed is None:
-            diagonals: Iterable[DiagonalBasis] = enumerate_uniformities(spec.n)
-            covers: Iterable[CoverBasis] = (
-                enumerate_valid_cover_bases(spec.n, spec.max_covers)
-                if spec.n <= 3
-                else ()
-            )
-        else:
-            rng = random.Random(spec.seed)
-            count = spec.limit if spec.limit is not None else 100
-            diagonals = [random_valid_basis(rng, spec.n) for _ in range(count)]
-            covers = [random_cover_basis(rng, spec.n) for _ in range(count)]
-        for b in diagonals:
-            checked += 1
-            problem = _check_roundtrip_diagonal(b)
-            if problem is None:
-                satisfying += 1
-            else:
-                discrepancies += 1
-                if first is None:
-                    first = {"basis": b.to_json(), "problem": problem}
-        for cb in covers:
-            checked += 1
-            problem = _check_roundtrip_cover(cb)
-            if problem is None:
-                satisfying += 1
-            else:
-                discrepancies += 1
-                if first is None:
-                    first = {"cover_basis": cb.to_json(), "problem": problem}
+        holds, side = cover_roundtrip(s), "covering"
+    return holds, None if holds else f"{side} round trip moved the uniformity"
 
-    return SweepReport(
-        theorem=canonical,
-        n=spec.n,
-        checked=checked,
-        satisfying=satisfying,
-        discrepancies=discrepancies,
-        first_counterexample=first,
-        seed=spec.seed,
-    )
+
+def _roundtrip_instances(n: int) -> Iterator[object]:
+    yield from enumerate_uniformities(n)
+    if n <= 3:
+        yield from enumerate_valid_cover_bases(n)
+
+
+class Sweep(NamedTuple):
+    """A law sweep's alias, exhaustive cap, instance sources and check (module docstring)."""
+
+    alias: str
+    max_n: int  # the largest n enumerated exhaustively
+    what: str  # what `exhaustive` enumerates, named when n is over the cap
+    exhaustive: Callable[[int], Iterable[object]]
+    draws: tuple[Callable[[random.Random, int], object], ...]  # each drawn `trials` times
+    check: Callable[[object], tuple[bool, Optional[str]]]
+
+
+_EQUIV_BASES = (4, "equivalence basis", enumerate_equivalence_bases, (random_equivalence_basis,))
+
+SWEEPS = {
+    # the equivalence-relation, partition-cover, and ultrametric views agree
+    "T2.4": Sweep("representations", *_EQUIV_BASES, _check_representations),
+    # clopen separation, zero-dimensionality, and uniformizability agree
+    "T3.2": Sweep(
+        "separation", MAX_TOPOLOGY_POINTS, "topology", enumerate_preorder_topologies, (),
+        _check_separation,
+    ),
+    # a single ultrametric recovers any equivalence-generated uniformity
+    "T4.1": Sweep("metrization", *_EQUIV_BASES, _check_metrization),
+    # diagonal/covering conversions invert each other
+    "R2.1-roundtrip": Sweep(
+        "roundtrip", 8, "uniformity", _roundtrip_instances,
+        (random_valid_basis, random_cover_basis), _check_roundtrip,
+    ),
+}
+SWEEP_ALIASES = {sweep.alias: theorem for theorem, sweep in SWEEPS.items()}
+
+_EXAMPLE_KEY = {DiagonalBasis: "basis", CoverBasis: "cover_basis", FiniteTopology: "topology"}
+
+
+def theorem_sweep(
+    theorem_id: str, n: int, trials: Optional[int] = None, seed: Optional[int] = None
+) -> SweepReport:
+    """Run one law sweep of `SWEEPS` on n points, exhaustively or seeded.
+
+    The run is seeded iff `seed` is given, with `DEFAULT_TRIALS` draws per
+    draw function unless `trials` says otherwise.  Input over a cap of the
+    sweep raises ValueError naming the cap, before any instance is built.
+    """
+    canonical = SWEEP_ALIASES.get(theorem_id, theorem_id)
+    sweep = SWEEPS.get(canonical)
+    if sweep is None:
+        known = sorted(SWEEPS) + sorted(SWEEP_ALIASES)
+        raise ValueError(f"unknown sweep {theorem_id!r}; expected one of {known}")
+    if seed is None:
+        if trials is not None:
+            raise ValueError("trials apply only to a seeded sweep")
+        if n > sweep.max_n:
+            raise ValueError(f"exhaustive {sweep.what} enumeration capped at n={sweep.max_n}")
+        instances = sweep.exhaustive(n)
+    else:
+        if not sweep.draws:
+            raise ValueError(f"the {canonical} sweep is exhaustive only: no trials or seed")
+        if n > MAX_SAMPLED_POINTS:
+            raise ValueError(f"sampled enumeration capped at n={MAX_SAMPLED_POINTS}")
+        trials = DEFAULT_TRIALS if trials is None else trials
+        if not 1 <= trials <= MAX_TRIALS:
+            raise ValueError(f"trials must be between 1 and {MAX_TRIALS}, got {trials}")
+        rng = random.Random(seed)
+        instances = (draw(rng, n) for draw in sweep.draws for _ in range(trials))
+
+    checked = satisfying = discrepancies = 0
+    first: Optional[dict] = None
+    for instance in instances:
+        checked += 1
+        holds, problem = sweep.check(instance)
+        if problem is not None:
+            discrepancies += 1
+            if first is None:
+                first = {_EXAMPLE_KEY[type(instance)]: instance.to_json(), "problem": problem}
+        elif holds:
+            satisfying += 1
+    return SweepReport(canonical, n, checked, satisfying, discrepancies, first, seed)

@@ -352,7 +352,127 @@ class TestUniformize:
         assert uniformity_equal(witness, DiagonalBasis(C3, [E01]))
 
 
+# Sweep stdout recorded before the sweeps were folded into one table, as
+# (theorem, arguments after --theorem, checked, satisfying, seed); every one
+# had no discrepancy and exited 0.  Each row runs under the id and its alias.
+PINNED_SWEEPS = [
+    ("T2.4", "--n 1", 1, 1, None),
+    ("T2.4", "--n 2", 3, 3, None),
+    ("T2.4", "--n 3", 25, 25, None),
+    ("T2.4", "--n 4", 575, 575, None),
+    ("T2.4", "--n 5 --trials 7 --seed 3", 7, 7, 3),
+    ("T2.4", "--n 4 --seed 11", 100, 100, 11),
+    ("T2.4", "--n 6 --trials 20", 20, 20, 1729),
+    ("T3.2", "--n 1", 1, 1, None),
+    ("T3.2", "--n 2", 4, 2, None),
+    ("T3.2", "--n 3", 29, 5, None),
+    ("T3.2", "--n 4", 355, 15, None),
+    ("T4.1", "--n 1", 1, 1, None),
+    ("T4.1", "--n 2", 3, 3, None),
+    ("T4.1", "--n 3", 25, 25, None),
+    ("T4.1", "--n 4", 575, 575, None),
+    ("T4.1", "--n 5 --trials 7 --seed 3", 7, 7, 3),
+    ("T4.1", "--n 4 --seed 11", 100, 100, 11),
+    ("T4.1", "--n 6 --trials 20", 20, 20, 1729),
+    ("R2.1-roundtrip", "--n 1", 2, 2, None),
+    ("R2.1-roundtrip", "--n 2", 17, 17, None),
+    ("R2.1-roundtrip", "--n 3", 3616, 3616, None),
+    ("R2.1-roundtrip", "--n 4", 15, 15, None),
+    ("R2.1-roundtrip", "--n 5 --trials 7 --seed 3", 14, 14, 3),
+    ("R2.1-roundtrip", "--n 4 --seed 11", 200, 200, 11),
+    ("R2.1-roundtrip", "--n 6 --trials 20", 40, 40, 1729),
+]
+# the largest inputs inside the caps, recorded the same way, under the id only
+PINNED_SWEEPS_AT_CAPS = [
+    ("R2.1-roundtrip", "--n 8", 4140, 4140, None),
+    ("R2.1-roundtrip", "--n 8 --trials 1000", 2000, 2000, 1729),
+]
+SWEEP_ALIASES = {
+    "T2.4": "representations", "T3.2": "separation", "T4.1": "metrization",
+    "R2.1-roundtrip": "roundtrip",
+}
+SWEEP_REPORT = (
+    '{{\n  "checked": {},\n  "discrepancies": 0,\n  "first_counterexample": null,\n'
+    '  "n": {},\n  "satisfying": {},\n  "seed": {},\n  "theorem": "{}"\n}}\n'
+)
+
+
+def sweep_params():
+    for rows, aliased in ((PINNED_SWEEPS, True), (PINNED_SWEEPS_AT_CAPS, False)):
+        for theorem, args, checked, satisfying, seed in rows:
+            n = args.split()[1]
+            stdout = SWEEP_REPORT.format(
+                checked, n, satisfying, "null" if seed is None else seed, theorem
+            )
+            for name in [theorem] + [SWEEP_ALIASES[theorem]] * aliased:
+                yield pytest.param(["--theorem", name, *args.split()], stdout, id=f"{name} {args}")
+
+
 class TestSweepVerb:
+    @pytest.mark.parametrize("argv, stdout", sweep_params())
+    def test_output_is_pinned(self, capsys, monkeypatch, argv, stdout):
+        monkeypatch.delenv("ULTRAUNIFORM_SEED", raising=False)
+        assert main(["sweep", *argv]) == 0
+        assert capsys.readouterr().out == stdout
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            ("T2.4 --n 3 --trials 0", "trials must be between 1 and 1000, got 0"),
+            ("T2.4 --n 3 --trials -1", "trials must be between 1 and 1000, got -1"),
+            ("T4.1 --n 3 --trials 1001", "trials must be between 1 and 1000, got 1001"),
+            ("T2.4 --n 60 --trials 1", "sampled enumeration capped at n=8"),
+            ("roundtrip --n 9 --seed 1", "sampled enumeration capped at n=8"),
+            ("T3.2 --n 3 --trials 5", "the T3.2 sweep is exhaustive only: no trials or seed"),
+            ("separation --n 3 --seed 5", "the T3.2 sweep is exhaustive only: no trials or seed"),
+            ("T2.4 --n 5", "exhaustive equivalence basis enumeration capped at n=4"),
+            ("metrization --n 5", "exhaustive equivalence basis enumeration capped at n=4"),
+            ("R2.1-roundtrip --n 9", "exhaustive uniformity enumeration capped at n=8"),
+            ("T3.2 --n 5", "exhaustive topology enumeration capped at n=4"),
+            ("T2.4 --n 0", "carrier needs a positive number of points"),
+        ],
+    )
+    def test_input_over_a_cap_is_refused(self, capsys, argv, error):
+        theorem, *rest = argv.split()
+        code, obj = run(capsys, "sweep", "--theorem", theorem, *rest)
+        assert code == 2
+        assert obj == {"error": error}
+
+    @pytest.mark.parametrize(
+        "patched, argv, first",
+        [
+            (
+                "diagonal_roundtrip", ["roundtrip", "--n", "2"],
+                {"basis": {"n": 2, "entourages": [
+                    {"n": 2, "pairs": [[0, 0], [0, 1], [1, 0], [1, 1]]}
+                ]}, "problem": "diagonal round trip moved the uniformity"},
+            ),
+            (
+                "cover_roundtrip", ["roundtrip", "--n", "2"],
+                {"cover_basis": {"n": 2, "covers": [[[0, 1]]]},
+                 "problem": "covering round trip moved the uniformity"},
+            ),
+            (
+                "is_zero_dimensional", ["T3.2", "--n", "2"],
+                {"topology": {"n": 2, "opens": [[], [0, 1]]},
+                 "problem": "verdicts differ: separation=True zero_dim=False uniformizable=True"},
+            ),
+        ],
+        ids=["basis", "cover_basis", "topology"],
+    )
+    def test_first_counterexample(self, capsys, monkeypatch, patched, argv, first):
+        # a check made to fail reports its first instance, keyed by the instance's type
+        monkeypatch.setattr(f"ultrauniform.oracle.{patched}", lambda structure: False)
+        code, obj = run(capsys, "sweep", "--theorem", *argv)
+        assert code == 1
+        assert obj["first_counterexample"] == first
+
+    def test_bad_env_seed_is_named(self, capsys, monkeypatch):
+        monkeypatch.setenv("ULTRAUNIFORM_SEED", "abc")
+        code, obj = run(capsys, "sweep", "--theorem", "T2.4", "--n", "3", "--trials", "2")
+        assert code == 2
+        assert obj == {"error": "ULTRAUNIFORM_SEED must be an integer, got 'abc'"}
+
     def test_exhaustive_separation(self, capsys):
         code, obj = run(capsys, "sweep", "--theorem", "T3.2", "--n", "3")
         assert code == 0
@@ -406,6 +526,11 @@ class TestDeterminism:
             ["uniformize", "--in", TOPOLOGY_JSON],
             ["roundtrip", "--in", COVERS_JSON],
             ["gen", "ideal-chain", "--modulus", "12", "--ideal", "2", "--depth", "2"],
+            pytest.param(["sweep", "--theorem", "roundtrip", "--n", "3"], id="sweep exhaustive"),
+            pytest.param(
+                ["sweep", "--theorem", "roundtrip", "--n", "6", "--trials", "30", "--seed", "4"],
+                id="sweep seeded",
+            ),
         ],
         ids=lambda argv: " ".join(argv[:2] if argv[0] == "gen" else argv[:1]),
     )

@@ -9,7 +9,7 @@ import pytest
 from ultrauniform.cli import main, padic_pseudometric
 from ultrauniform.core import Carrier, Partition, Relation
 from ultrauniform.jsonio import detect, dumps, loads, structure_from_json
-from ultrauniform.oracle import EnumerationSpec, theorem_sweep
+from ultrauniform.oracle import theorem_sweep
 from ultrauniform.pseudometric import Chain, Pseudometric, PseudometricSystem, chain_pm
 from ultrauniform.topology import FiniteTopology
 from ultrauniform.uniformity import Cover, CoverBasis, DiagonalBasis, validate_diagonal
@@ -82,7 +82,7 @@ def readme_structures():
         FiniteTopology(Carrier(2), [0, 0b10, 0b11]),
         validate_diagonal(basis),
         validate_diagonal(DiagonalBasis(c3, [Relation.from_pairs(c3, [(0, 0), (1, 1), (2, 2), (0, 1)])])),
-        theorem_sweep("T3.2", EnumerationSpec(kind="topologies", n=2)),
+        theorem_sweep("T3.2", 2),
         padic_pseudometric(3, 27),
     ]
 

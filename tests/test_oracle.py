@@ -9,14 +9,12 @@ from ultrauniform.core import Relation, is_equivalence
 from ultrauniform.jsonio import dumps
 from ultrauniform.oracle import (
     DEFAULT_SEED,
-    EnumerationSpec,
     SweepReport,
     bell_number,
     enumerate_covers,
     enumerate_partitions,
     enumerate_preorder_topologies,
     enumerate_relations,
-    enumerate_structures,
     enumerate_topologies,
     enumerate_uniformities,
     enumerate_valid_cover_bases,
@@ -96,40 +94,9 @@ class TestCounts:
 
 
 class TestEnumerateStructures:
-    def test_dispatch(self):
-        spec = EnumerationSpec(kind="partitions", n=3)
-        assert sum(1 for _ in enumerate_structures(spec)) == 5
-
-    def test_spec_defaults_immutable_and_hashable(self):
-        spec = EnumerationSpec(kind="partitions", n=3)
-        assert (spec.max_generators, spec.max_covers, spec.limit, spec.seed) == (3, 2, None, None)
-        assert spec == EnumerationSpec("partitions", 3)
-        assert len({spec, EnumerationSpec(kind="partitions", n=3)}) == 1
-        with pytest.raises(AttributeError):
-            spec.n = 4
-
-    def test_limit(self):
-        spec = EnumerationSpec(kind="topologies", n=3, limit=10)
-        assert sum(1 for _ in enumerate_structures(spec)) == 10
-
-    def test_sampled_equivalence_bases(self):
-        spec = EnumerationSpec(kind="equivalence_bases", n=5, seed=42, limit=20)
-        bases = list(enumerate_structures(spec))
-        assert len(bases) == 20
-        assert all(validate_diagonal(b).valid for b in bases)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown"):
-            list(enumerate_structures(EnumerationSpec(kind="widgets", n=2)))
-
     def test_exhaustive_topology_cap(self):
         with pytest.raises(ValueError, match="capped"):
             list(enumerate_topologies(5))
-
-    def test_sampled_cap(self):
-        spec = EnumerationSpec(kind="equivalence_bases", n=9, seed=1, limit=3)
-        with pytest.raises(ValueError, match="capped"):
-            list(enumerate_structures(spec))
 
 
 class TestRandomGenerators:
@@ -160,7 +127,7 @@ class TestRandomGenerators:
 
 class TestSweeps:
     def test_separation_sweep_n3(self):
-        report = theorem_sweep("T3.2", EnumerationSpec(kind="topologies", n=3))
+        report = theorem_sweep("T3.2", 3)
         assert report.checked == 29
         assert report.satisfying == 5
         assert report.discrepancies == 0
@@ -177,40 +144,36 @@ class TestSweeps:
             checked += 1
             satisfying += ta
         expected = SweepReport("T3.2", n, checked, satisfying, 0, None, None)
-        report = theorem_sweep("T3.2", EnumerationSpec(kind="topologies", n=n))
+        report = theorem_sweep("T3.2", n)
         assert dumps(report) == dumps(expected)
 
     @pytest.mark.parametrize("n", [0, 5])
     def test_separation_sweep_cap_and_empty_carrier(self, n):
         message = "capped at n=4" if n else "positive number of points"
         with pytest.raises(ValueError, match=message):
-            theorem_sweep("T3.2", EnumerationSpec(kind="topologies", n=n))
+            theorem_sweep("T3.2", n)
 
     def test_representations_sweep_exhaustive(self):
-        report = theorem_sweep(
-            "T2.4", EnumerationSpec(kind="equivalence_bases", n=3, max_generators=2)
-        )
-        assert report.checked == 15
+        report = theorem_sweep("T2.4", 3)
+        # every basis of at most three of the 5 equivalences on 3 points
+        assert report.checked == 5 + 10 + 10
         assert report.discrepancies == 0
 
     def test_metrization_sweep_exhaustive(self):
-        report = theorem_sweep(
-            "T4.1", EnumerationSpec(kind="equivalence_bases", n=3, max_generators=2)
-        )
-        assert report.checked == 15
+        report = theorem_sweep("T4.1", 3)
+        assert report.checked == 5 + 10 + 10
         assert report.discrepancies == 0
 
     def test_roundtrip_sweep_n2(self):
-        report = theorem_sweep("R2.1-roundtrip", EnumerationSpec(kind="uniformities", n=2))
+        report = theorem_sweep("R2.1-roundtrip", 2)
         # 2 uniformities plus the valid cover bases of at most two covers
         assert report.checked == 17
         assert report.satisfying == 17
         assert report.discrepancies == 0
 
     def test_sampled_sweeps_deterministic(self):
-        spec = EnumerationSpec(kind="equivalence_bases", n=6, seed=11, limit=25)
-        r1 = theorem_sweep("T2.4", spec)
-        r2 = theorem_sweep("T2.4", spec)
+        r1 = theorem_sweep("T2.4", 6, trials=25, seed=11)
+        r2 = theorem_sweep("T2.4", 6, trials=25, seed=11)
         assert (r1.checked, r1.satisfying, r1.discrepancies, r1.seed) == (
             r2.checked,
             r2.satisfying,
@@ -220,15 +183,19 @@ class TestSweeps:
         assert r1.discrepancies == 0
 
     def test_aliases(self):
-        report = theorem_sweep("separation", EnumerationSpec(kind="topologies", n=2))
+        report = theorem_sweep("separation", 2)
         assert report.theorem == "T3.2"
+
+    def test_trials_need_a_seed(self):
+        with pytest.raises(ValueError, match="only to a seeded sweep"):
+            theorem_sweep("T2.4", 3, trials=5)
 
     def test_unknown_id(self):
         with pytest.raises(ValueError, match="unknown sweep"):
-            theorem_sweep("T9.9", EnumerationSpec(kind="topologies", n=2))
+            theorem_sweep("T9.9", 2)
 
     def test_report_json_shape(self):
-        report = theorem_sweep("T3.2", EnumerationSpec(kind="topologies", n=2))
+        report = theorem_sweep("T3.2", 2)
         obj = report.to_json()
         assert set(obj) == {
             "theorem",
