@@ -379,6 +379,22 @@ def slow_eq_closure(r: Relation) -> Relation:
     return Relation.from_pairs(r.carrier, pairs)
 
 
+def slow_ball_relation(d: Pseudometric, eps: Fraction) -> Relation:
+    """The strict ball relation {(x,y) | d(x,y) < eps}, one comparison per cell."""
+    # d(x,y) < eps  iff  grid[x][y] * eps.den < eps.num * scale
+    bound = eps.numerator * d.scale
+    den = eps.denominator
+    rows = []
+    for x in range(d.n):
+        gx = d.grid[x]
+        row = 0
+        for y in range(d.n):
+            if gx[y] * den < bound:
+                row |= 1 << y
+        rows.append(row)
+    return Relation(d.carrier, rows)
+
+
 def check_strong_triangle(dist: Sequence[Sequence[Fraction]]) -> bool:
     """Direct per-triple check of d(x,y) <= max(d(x,z), d(z,y))."""
     n = len(dist)
@@ -551,9 +567,18 @@ def _check_roundtrip(s: object) -> tuple[bool, Optional[str]]:
 
 
 def _roundtrip_instances(n: int) -> Iterator[object]:
+    """Every uniformity once as a diagonal basis, and covering bases from the cover side.
+
+    Up to n = 3 the cover side is every valid basis of at most two covers;
+    above, where those are too many, it is each uniformity's partition cover.
+    """
     yield from enumerate_uniformities(n)
     if n <= 3:
         yield from enumerate_valid_cover_bases(n)
+    else:
+        carrier = Carrier(n)
+        for p in enumerate_partitions(n):
+            yield CoverBasis(carrier, [Cover.from_partition(p)])
 
 
 class Sweep(NamedTuple):

@@ -8,20 +8,32 @@ library's own builders (`sup_pm`, `chain_pm`, the p-adic generator) write
 grids directly; `Fraction`s appear only at the boundary: the public
 constructor parses them, and `dist`, `d()`, `values()` and `to_json()`
 build `Fraction`s or "p/q" strings from the grid on each call, once per
-distinct grid value.  A table is checked on its grid, with each row packed
-into one int: a table with at most n distinct values is first tested for
-the strong triangle inequality, one big-int expression per distinct value of
+distinct grid value; the constructor parses each distinct string or int
+cell once.  A table is checked on its grid, with each row packed into one
+int, in fields of 8, 16, 32 or 64 bits so that a row packs at C speed from
+one `bytes` or `array` (only entries of 2**62 and over are packed through a
+string): a table with at most n distinct values is first tested for the
+strong triangle inequality, one big-int expression per distinct value of
 each row, and passes as an ultrametric (hence a pseudo-metric).  Only a
 table with more values, or one that fails there, runs the triangle scan of
 one big-int expression per pair of points, which names its first failing
 (z, x, y); `is_na` runs the same ultrametric test.
+
+Ball relations are read from the table's level balls: per point, its
+distinct distances in ascending order and the ball of each as a bitmask,
+built in one pass over the grid and kept for the last few grids, so each
+radius costs one C-level count per point.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
+from array import array
 from fractions import Fraction
+from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .core import (
@@ -71,17 +83,38 @@ def _as_fraction(value, what: str) -> Fraction:
     raise ValueError(f"{what} is not an exact rational: {_shown(value)}")
 
 
+# array type code per field width in bits, for rows packed at C speed
+_FIELDS = {8 * array(code).itemsize: code for code in "HLIQ"}
+
+
+def _ratio(value) -> tuple[int, int]:
+    """The distance `value` as (p, q) in lowest terms, q > 0."""
+    return _as_fraction(value, "distance").as_integer_ratio()
+
+
 def _pack(grid: Sequence[Sequence[int]], values: set[int]) -> tuple[int, list[int]]:
     """Field width w and the rows packed into ints, one w-bit field per column.
 
     `values` are the grid's distinct entries, all nonnegative; column 0 is
-    the lowest field.  w - 1 = (2m).bit_length() for the largest entry m,
-    which leaves room for a guard bit at the top of every field.
+    the lowest field.  w - 1 >= (2m).bit_length() for the largest entry m,
+    which leaves room for a guard bit at the top of every field.  w is
+    rounded up to 8, 16, 32 or 64 bits, so that a row is packed as one
+    `bytes` or the bytes of one `array`; only larger entries take the
+    string path.
     """
-    w = (2 * max(values)).bit_length() + 1
-    spec = f"0{w}b"
+    need = (2 * max(values)).bit_length() + 1
+    if need <= 8:
+        return 8, [int.from_bytes(bytes(row), "little") for row in grid]
+    for w in (16, 32, 64):
+        if need <= w:
+            rows = [array(_FIELDS[w], row) for row in grid]
+            if sys.byteorder == "big":  # column 0 stays the lowest field
+                for row in rows:
+                    row.byteswap()
+            return w, [int.from_bytes(row, "little") for row in rows]
+    spec = f"0{need}b"
     bits = {v: format(v, spec) for v in values}
-    return w, [int("".join(map(bits.__getitem__, reversed(row))), 2) for row in grid]
+    return need, [int("".join(map(bits.__getitem__, reversed(row))), 2) for row in grid]
 
 
 def _is_ultrametric(grid: Sequence[Sequence[int]], w: int, packed: Sequence[int]) -> bool:
@@ -156,15 +189,27 @@ class Pseudometric:
         n = carrier.n
         if len(dist) != n or any(len(row) != n for row in dist):
             raise ValueError("distance table must be n x n")
+        kinds = set(map(type, chain.from_iterable(dist)))
         try:
-            ratios = [[_as_fraction(v, "distance").as_integer_ratio() for v in row] for row in dist]
+            if kinds <= {str, int}:
+                # one parse per distinct cell: an exact str or int equals no cell
+                # of the other kind, while True == 1 would share 1's parse (and
+                # a Fraction hashes in Python, slower than parsing it again)
+                ratio = {v: _ratio(v) for v in set().union(*dist)}
+                cells = dist
+            else:  # each cell becomes a (p, q) pair, and equal pairs hash alike in C
+                as_ratio = Fraction.as_integer_ratio if kinds == {Fraction} else _ratio
+                cells = [list(map(as_ratio, row)) for row in dist]
+                distinct = set(chain.from_iterable(cells))
+                ratio = dict(zip(distinct, distinct))
+            scale = math.lcm(*{q for _, q in ratio.values()})
+            value = {v: p * (scale // q) for v, (p, q) in ratio.items()}
+            grid = [list(map(value.__getitem__, row)) for row in cells]
         except ValueError:  # parse again, naming each cell, to report the first refused one
             for x, row in enumerate(dist):
                 for y, v in enumerate(row):
                     _as_fraction(v, f"field 'dist[{x}][{y}]'")
             raise
-        scale = math.lcm(*{q for row in ratios for _, q in row})
-        grid = [[p * (scale // q) for p, q in row] for row in ratios]
         self._store(carrier, grid, scale)
 
     @classmethod
@@ -215,7 +260,7 @@ class Pseudometric:
     def dist(self) -> tuple[tuple[Fraction, ...], ...]:
         """The table as `Fraction`s, built from the grid on each access."""
         scale = self.scale
-        frac = {g: Fraction(g, scale) for g in {g for row in self.grid for g in row}}
+        frac = {g: Fraction(g, scale) for g in set().union(*self.grid)}
         return tuple(tuple(map(frac.__getitem__, row)) for row in self.grid)
 
     def d(self, x: int, y: int) -> Fraction:
@@ -223,17 +268,17 @@ class Pseudometric:
 
     def values(self) -> list[Fraction]:
         """Distinct positive distances, ascending."""
-        positive = {g for row in self.grid for g in row if g > 0}
-        return [Fraction(g, self.scale) for g in sorted(positive)]
+        positive = sorted(set().union(*self.grid))[1:]  # every table has a 0 on its diagonal
+        return [Fraction(g, self.scale) for g in positive]
 
     def to_json(self) -> dict:
         """Each distinct grid value is rendered once as a reduced "p/q"."""
         scale = self.scale
         text = {}
-        for g in {g for row in self.grid for g in row}:
+        for g in set().union(*self.grid):
             c = math.gcd(g, scale)
             text[g] = f"{g // c}/{scale // c}"
-        return {"n": self.n, "dist": [[text[g] for g in row] for row in self.grid]}
+        return {"n": self.n, "dist": [list(map(text.__getitem__, row)) for row in self.grid]}
 
     @classmethod
     def from_json(cls, obj: dict) -> "Pseudometric":
@@ -278,28 +323,56 @@ def sup_pm(ds: Sequence[Pseudometric]) -> Pseudometric:
         raise ValueError("sup of an empty family")
     carrier = same_carrier(*ds)
     scale = math.lcm(*(d.scale for d in ds))
-    grids = [[[g * (scale // d.scale) for g in row] for row in d.grid] for d in ds]
+    grids = [  # a table already at the common scale is taken as it is
+        d.grid if d.scale == scale else [list(map((scale // d.scale).__mul__, r)) for r in d.grid]
+        for d in ds
+    ]
     grid = [list(map(max, zip(*rows))) for rows in zip(*grids)]
     return Pseudometric._from_grid(carrier, grid, scale)
 
 
+# grids whose level balls are kept: a table's radii are read one after another
+_LEVEL_BALLS_KEPT = 4
+
+
+@lru_cache(maxsize=_LEVEL_BALLS_KEPT)
+def _level_balls(grid: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple, tuple], ...]:
+    """Per point x: the ascending values v of grid[x], and the balls {y | grid[x][y] <= v}.
+
+    One pass over the grid, kept per grid so that the radii of one table
+    share it; each ball is a bitmask, and the balls of a point grow.
+    """
+    balls = []
+    for row in grid:
+        at = dict.fromkeys(sorted(set(row)), 0)  # value -> the columns holding it
+        for y, v in enumerate(row):
+            at[v] |= 1 << y
+        masks = []
+        ball = 0
+        for m in at.values():
+            ball |= m
+            masks.append(ball)
+        balls.append((tuple(at), tuple(masks)))
+    return tuple(balls)
+
+
 def ball_relation(d: Pseudometric, eps) -> Relation:
-    """The strict ball relation {(x,y) | d(x,y) < eps}."""
+    """The strict ball relation {(x,y) | d(x,y) < eps}.
+
+    Row x is the largest level ball {y | grid[x][y] <= v} of x with v < t,
+    the least integer at or above eps * scale; as grid[x][x] = 0 < t, there
+    is one.  The count of such values of x is a C-level sum over its levels.
+    """
     eps = _as_fraction(eps, "ball radius")
     if eps <= 0:
         raise ValueError("ball radius must be positive")
-    # d(x,y) < eps  iff  grid[x][y] * eps.den < eps.num * scale
-    bound = eps.numerator * d.scale
-    den = eps.denominator
-    rows = []
-    for x in range(d.n):
-        gx = d.grid[x]
-        row = 0
-        for y in range(d.n):
-            if gx[y] * den < bound:
-                row |= 1 << y
-        rows.append(row)
-    return Relation(d.carrier, rows)
+    # d(x,y) < eps  iff  grid[x][y] < eps.num * scale / eps.den  iff  grid[x][y] < t
+    t = -(-eps.numerator * d.scale // eps.denominator)
+    below = t.__gt__
+    return Relation(
+        d.carrier,
+        [masks[sum(map(below, values)) - 1] for values, masks in _level_balls(d.grid)],
+    )
 
 
 class PseudometricSystem:

@@ -377,14 +377,14 @@ PINNED_SWEEPS = [
     ("R2.1-roundtrip", "--n 1", 2, 2, None),
     ("R2.1-roundtrip", "--n 2", 17, 17, None),
     ("R2.1-roundtrip", "--n 3", 3616, 3616, None),
-    ("R2.1-roundtrip", "--n 4", 15, 15, None),
+    ("R2.1-roundtrip", "--n 4", 30, 30, None),
     ("R2.1-roundtrip", "--n 5 --trials 7 --seed 3", 14, 14, 3),
     ("R2.1-roundtrip", "--n 4 --seed 11", 200, 200, 11),
     ("R2.1-roundtrip", "--n 6 --trials 20", 40, 40, 1729),
 ]
 # the largest inputs inside the caps, recorded the same way, under the id only
 PINNED_SWEEPS_AT_CAPS = [
-    ("R2.1-roundtrip", "--n 8", 4140, 4140, None),
+    ("R2.1-roundtrip", "--n 8", 8280, 8280, None),
     ("R2.1-roundtrip", "--n 8 --trials 1000", 2000, 2000, 1729),
 ]
 SWEEP_ALIASES = {
@@ -453,12 +453,17 @@ class TestSweepVerb:
                  "problem": "covering round trip moved the uniformity"},
             ),
             (
+                "cover_roundtrip", ["roundtrip", "--n", "4"],
+                {"cover_basis": {"n": 4, "covers": [[[0, 1, 2, 3]]]},
+                 "problem": "covering round trip moved the uniformity"},
+            ),
+            (
                 "is_zero_dimensional", ["T3.2", "--n", "2"],
                 {"topology": {"n": 2, "opens": [[], [0, 1]]},
                  "problem": "verdicts differ: separation=True zero_dim=False uniformizable=True"},
             ),
         ],
-        ids=["basis", "cover_basis", "topology"],
+        ids=["basis", "cover_basis", "cover_basis n=4", "topology"],
     )
     def test_first_counterexample(self, capsys, monkeypatch, patched, argv, first):
         # a check made to fail reports its first instance, keyed by the instance's type
@@ -623,6 +628,29 @@ class TestStartup:
         assert not loaded & {f"ultrauniform.{m}" for m in skipped}
         if "pseudometric" in skipped:
             assert not loaded & {"fractions", "decimal"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "padic", "--p", "3", "--size", "27"],
+            ["metrize", "--in", NA_BASIS_JSON],
+        ],
+        ids=["gen padic", "metrize"],
+    )
+    def test_metric_verbs_add_only_array_to_the_modules_of_their_layers(self, argv):
+        def running(argv):
+            return (
+                "import contextlib, io\n"
+                "import fractions, functools, itertools, math, re, typing\n"  # pseudometric's
+                "from ultrauniform.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    main({argv!r})"
+            )
+
+        # `gen ideal-chain` runs the same front end on core and uniformity
+        added = loaded_modules(running(argv)) - loaded_modules(running(["gen", "ideal-chain"]))
+        assert "ultrauniform.pseudometric" in added
+        assert added <= {"ultrauniform.pseudometric", "array"}
 
     def test_sweep_runs_in_a_subprocess(self):
         proc = fresh_python("-m", "ultrauniform.cli", "sweep", "--theorem", "T3.2", "--n", "2")

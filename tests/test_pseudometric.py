@@ -24,6 +24,7 @@ from ultrauniform.oracle import (
     check_strong_triangle,
     random_equivalence,
     random_ultrametric,
+    slow_ball_relation,
 )
 from ultrauniform.pseudometric import (
     Chain,
@@ -40,6 +41,7 @@ from ultrauniform.pseudometric import (
     systems_equivalent,
     thresholds,
 )
+from ultrauniform.pseudometric import _is_ultrametric, _level_balls, _pack, _triangle_failure
 from ultrauniform.uniformity import DiagonalBasis, uniformity_equal
 
 C3 = Carrier(3)
@@ -824,3 +826,220 @@ class TestGridBuilders:
             for e in es[1:] if es[0] == steps[0] else es:
                 steps.append(steps[-1] & e)
             assert_same_table(metrize(es), reference_chain_distances(steps, n))
+
+
+# Distinct distance cells are parsed once when every cell is an exact str or
+# int; every other table is parsed cell by cell.  Both give the same table.
+
+
+class TestDistinctCellParse:
+    def test_string_table_equals_the_fraction_table(self):
+        for d in seeded_tables():
+            dist = d.to_json()["dist"]
+            assert Pseudometric(d.carrier, dist) == d
+            ints = [[v.numerator if v.denominator == 1 else f"{v}" for v in row] for row in d.dist]
+            assert Pseudometric(d.carrier, ints) == d
+
+    def test_equal_values_in_other_spellings_share_no_parse_yet_agree(self):
+        d = pm([[0, "1/2", "2/4"], ["1/2", 0, "+3/6"], ["2/4", "+3/6", "0/7"]])
+        assert (d.scale, d.grid) == (2, ((0, 1, 1), (1, 0, 1), (1, 1, 0)))
+
+    @pytest.mark.parametrize("flag, twin", [(True, 1), (False, 0), (True, "1"), (False, "0")])
+    def test_a_boolean_next_to_its_integer_twin_is_refused_by_its_cell(self, flag, twin):
+        table = [[0, twin, twin], [twin, 0, flag], [twin, flag, 0]]
+        with pytest.raises(ValueError, match=r"field 'dist\[1\]\[2\]' is not an exact rational"):
+            pm(table)
+
+    def test_first_refused_cell_is_named_in_row_order(self):
+        table = [[0, "1", "1"], ["1", 0, "1/0"], ["1", "x", 0]]
+        with pytest.raises(ValueError, match=r"field 'dist\[1\]\[2\]' has a zero denominator"):
+            pm(table)
+
+    def test_string_subclass_cells_are_parsed_one_by_one(self):
+        class Loose(str):
+            def __eq__(self, other):
+                return True
+
+            def __hash__(self):
+                return hash("1/2")
+
+        with pytest.raises(ValueError, match=r"field 'dist\[0\]\[1\]' is not an exact rational"):
+            pm([[0, Loose("x"), "1/2"], [Loose("x"), 0, "1/2"], ["1/2", "1/2", 0]])
+        d = pm([[0, Loose("1/2"), "1/2"], [Loose("1/2"), 0, "1/2"], ["1/2", "1/2", 0]])
+        assert d == pm([[0, "1/2", "1/2"], ["1/2", 0, "1/2"], ["1/2", "1/2", 0]])
+
+    def test_mixed_fraction_and_string_cells(self):
+        half = Fraction(1, 2)
+        d = pm([[0, half, "1/3"], [half, 0, "1/2"], ["1/3", Fraction(2, 4), 0]])
+        assert d.dist == ((0, half, Fraction(1, 3)), (half, 0, half), (Fraction(1, 3), half, 0))
+
+
+# Ball relations are read from each table's level balls; these tests hold
+# them to the per-cell comparison of the oracle.
+
+
+def radii_around(d):
+    """Radii below, at, between and above the values of d, and off its denominator."""
+    values = d.values()
+    radii = [Fraction(1, 3 * d.scale), Fraction(1, 7 * d.scale + 1)]
+    for lo, hi in zip([Fraction(0)] + values, values):
+        radii += [hi, (lo + hi) / 2, hi - Fraction(1, 3 * d.scale), hi + Fraction(1, 3 * d.scale)]
+    top = values[-1] if values else Fraction(1)
+    radii += [top + 1, top * 3, Fraction(1, 3), Fraction(2, 3), Fraction(5, 3)]
+    return [r for r in radii if r > 0]
+
+
+def assert_balls_match_oracle(d):
+    for eps in radii_around(d):
+        assert ball_relation(d, eps) == slow_ball_relation(d, eps), (d.to_json(), eps)
+
+
+def non_ultrametric_table(rng, n):
+    """A path metric with a few more distinct values than points, or a sup of ultrametrics."""
+    if rng.random() < 0.5:
+        return Pseudometric(Carrier(n), shortest_path_metric(rng, n, small_weight))
+    return sup_pm([random_ultrametric(rng, n), random_ultrametric(rng, n)])
+
+
+class TestLevelBalls:
+    def test_every_small_table_matches_the_oracle(self):
+        metrics = 0
+        for table in small_tables():
+            try:
+                d = pm(table, n=len(table))
+                metrics += 1
+            except ValueError:  # balls read any symmetric grid; build it unchecked
+                d = Pseudometric.__new__(Pseudometric)
+                d.carrier, d.scale, d.grid = Carrier(len(table)), 1, tuple(map(tuple, table))
+            assert_balls_match_oracle(d)
+        assert metrics == 687
+
+    def test_seeded_ultrametrics_and_other_tables_up_to_32_points(self):
+        rng = random.Random(32)
+        kinds = set()
+        for _ in range(60):
+            n = rng.choice([1, 2, 3, 5, 8, 13, 21, 32])
+            for d in (random_ultrametric(rng, n), non_ultrametric_table(rng, n)):
+                kinds.add(is_na(d))
+                assert_balls_match_oracle(d)
+        assert kinds == {True, False}
+
+    def test_padic_tables_and_radii_off_the_scale(self):
+        from ultrauniform.cli import padic_pseudometric
+
+        for p, size in [(2, 16), (2, 32), (3, 27), (5, 30)]:
+            d = padic_pseudometric(p, size)
+            assert_balls_match_oracle(d)
+        d = padic_pseudometric(2, 8)  # scale 4: distances 1/4, 1/2, 1
+        assert d.scale == 4
+        assert ball_relation(d, Fraction(1, 3)) == slow_ball_relation(d, Fraction(1, 3))
+        assert ball_relation(d, Fraction(1, 3)) == ball_relation(d, Fraction(1, 2))
+
+    def test_more_tables_than_the_memo_holds(self):
+        rng = random.Random(4)
+        kept = _level_balls.cache_info().maxsize
+        tables = [non_ultrametric_table(rng, rng.randint(2, 12)) for _ in range(3 * kept)]
+        tables += [random_ultrametric(rng, rng.randint(2, 12)) for _ in range(3 * kept)]
+        _level_balls.cache_clear()
+        for round_ in range(3):
+            order = list(range(len(tables)))
+            rng.shuffle(order)
+            for i in order:
+                d = tables[i]
+                for eps in thresholds(d) + [Fraction(1, 3)]:
+                    assert ball_relation(d, eps) == slow_ball_relation(d, eps)
+        info = _level_balls.cache_info()
+        assert info.currsize == kept and info.misses > len(set(tables))
+        assert info.hits > 0
+
+    def test_level_balls_grow_and_end_at_the_carrier(self):
+        rng = random.Random(6)
+        for _ in range(40):
+            d = non_ultrametric_table(rng, rng.randint(1, 10))
+            for x, (values, masks) in enumerate(_level_balls(d.grid)):
+                assert list(values) == sorted(set(d.grid[x])) and values[0] == 0
+                assert all(a & ~b == 0 for a, b in zip(masks, masks[1:]))
+                assert masks[-1] == (1 << d.n) - 1 and masks[0] >> x & 1
+
+
+# Rows are packed in fields of 8, 16, 32 or 64 bits from bytes or an array;
+# only larger entries take the string of binary digits.  The string packer
+# at the least width is the reference for widths, verdicts and messages.
+
+
+def string_pack(grid, values, w=None):
+    """Rows packed through strings of binary digits, column 0 in the lowest field."""
+    if w is None:
+        w = (2 * max(values)).bit_length() + 1
+    spec = f"0{w}b"
+    return w, [int("".join(format(v, spec) for v in reversed(row)), 2) for row in grid]
+
+
+def string_packed_message(grid):
+    """The constructor's verdict on a nonnegative symmetric grid, from the string packer."""
+    values = set().union(*grid)
+    w, packed = string_pack(grid, values)
+    if len(values) <= len(grid) and _is_ultrametric(grid, w, packed):
+        return None
+    failure = _triangle_failure(grid, w, packed)
+    if failure is None:
+        return None
+    z, x, y = failure
+    return f"triangle inequality fails at ({x},{y}) via {z}"
+
+
+# (largest entry, field width it packs in)
+FIELD_EDGES = [
+    (1, 8), (63, 8), (64, 16), (2**14 - 1, 16), (2**14, 32), (2**30 - 1, 32), (2**30, 64),
+    (2**62 - 1, 64), (2**62, 65), (2**64, 67), (2**100 + 1, 103),
+]
+
+
+class TestPacking:
+    @pytest.mark.parametrize("top, width", FIELD_EDGES, ids=[f"{top:#x}" for top, _ in FIELD_EDGES])
+    def test_widths_verdicts_and_messages_match_the_string_packer(self, top, width):
+        rng = random.Random(top)
+        verdicts = set()
+        for _ in range(40):
+            n = rng.randint(2, 9)
+            grid = [[0] * n for _ in range(n)]
+            for x in range(n):
+                for y in range(x + 1, n):
+                    v = rng.choice([top, top, top - 1, top // 2, (top + 1) // 2, 1, 0])
+                    grid[x][y] = grid[y][x] = max(v, 0)
+            grid[0][1] = grid[1][0] = top
+            grid = tuple(map(tuple, grid))
+            values = set().union(*grid)
+            w, packed = _pack(grid, values)
+            assert w == width
+            assert packed == string_pack(grid, values, w)[1]
+            ref_w, ref = string_pack(grid, values)
+            assert _is_ultrametric(grid, w, packed) == _is_ultrametric(grid, ref_w, ref)
+            assert _triangle_failure(grid, w, packed) == _triangle_failure(grid, ref_w, ref)
+            expected = string_packed_message(grid)
+            verdicts.add(expected is None)
+            if expected is None:
+                assert Pseudometric._from_grid(Carrier(n), grid, 1).grid == grid
+            else:
+                with pytest.raises(ValueError) as exc:
+                    Pseudometric._from_grid(Carrier(n), grid, 1)
+                assert str(exc.value) == expected
+            if top < 2**20:
+                assert_kernel_matches_reference([list(row) for row in grid])
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("top, width", FIELD_EDGES, ids=[f"{top:#x}" for top, _ in FIELD_EDGES])
+    def test_ultrametrics_at_the_edge_pass_and_is_na_holds(self, top, width):
+        # two clusters at distance top, inside each at top - 1 or 0
+        n = 6
+        grid = tuple(
+            tuple(0 if x == y else top - 1 if x // 3 == y // 3 else top for y in range(n))
+            for x in range(n)
+        )
+        assert _pack(grid, set().union(*grid))[0] == width
+        d = Pseudometric._from_grid(Carrier(n), grid, 1)
+        assert is_na(d) and d.grid == grid
+        if top >= 2:  # one pair across the clusters lowered: a metric, no ultrametric
+            lowered = [list(row) for row in grid]
+            lowered[0][3] = lowered[3][0] = top - 1
+            assert not is_na(Pseudometric._from_grid(Carrier(n), lowered, 1))
