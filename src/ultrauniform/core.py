@@ -94,6 +94,18 @@ class Relation:
         self.rows = rows
 
     @classmethod
+    def _trusted(cls, carrier: Carrier, rows: tuple[int, ...]) -> "Relation":
+        """A relation on a tuple of rows known to lie in the carrier, unchecked.
+
+        For rows derived from checked rows (intersections, unions, level
+        balls of a table), which cannot mention points outside the carrier.
+        """
+        r = object.__new__(cls)
+        r.carrier = carrier
+        r.rows = rows
+        return r
+
+    @classmethod
     def from_pairs(cls, carrier: Carrier, pairs: Iterable[tuple[int, int]]) -> "Relation":
         rows = [0] * carrier.n
         for x, y in pairs:
@@ -132,15 +144,15 @@ class Relation:
 
     def __and__(self, other: "Relation") -> "Relation":
         carrier = same_carrier(self, other)
-        return Relation(carrier, (a & b for a, b in zip(self.rows, other.rows)))
+        return Relation._trusted(carrier, tuple(map(int.__and__, self.rows, other.rows)))
 
     def __or__(self, other: "Relation") -> "Relation":
         carrier = same_carrier(self, other)
-        return Relation(carrier, (a | b for a, b in zip(self.rows, other.rows)))
+        return Relation._trusted(carrier, tuple(map(int.__or__, self.rows, other.rows)))
 
     def issubset(self, other: "Relation") -> bool:
         same_carrier(self, other)
-        return all(a & ~b == 0 for a, b in zip(self.rows, other.rows))
+        return tuple(map(int.__and__, self.rows, other.rows)) == self.rows
 
     def is_reflexive(self) -> bool:
         return all(row >> x & 1 for x, row in enumerate(self.rows))

@@ -24,7 +24,9 @@ from .core import (
     Partition,
     Relation,
     bits,
+    compose,
     eq_closure,
+    inverse,
     is_equivalence,
     refines,
     to_partition,
@@ -54,13 +56,11 @@ from .uniformity import (
     covering_uniformity_equal,
     diagonal_roundtrip,
     has_partition_basis,
-    intersection_closure,
     is_non_archimedean,
     relation_from_cover,
     star_refines,
     uniformity_equal,
     validate_cover,
-    validate_diagonal,
 )
 
 DEFAULT_SEED = 1729
@@ -439,8 +439,6 @@ def is_uniformity_filter(minimum: Relation) -> bool:
         for (x, y) in extra:
             rows[x] |= 1 << y
         members.append(Relation(minimum.carrier, rows))
-    from .core import compose, inverse
-
     for d in members:
         if not d.is_reflexive():
             return False
@@ -451,14 +449,54 @@ def is_uniformity_filter(minimum: Relation) -> bool:
     return True
 
 
+def slow_intersection_closure(relations: Iterable[Relation]) -> tuple[Relation, ...]:
+    """Pairwise intersections added to a fixpoint, sorted by rows."""
+    closure = set(relations)
+    frontier = list(closure)
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for b in list(closure):
+                c = a & b
+                if c not in closure:
+                    closure.add(c)
+                    fresh.append(c)
+        frontier = fresh
+    return tuple(sorted(closure, key=lambda r: r.rows))
+
+
+def slow_validate_diagonal(b: DiagonalBasis) -> ValidationReport:
+    """The diagonal basis axioms, each member of the closure against every member.
+
+    A member D fails symmetry if no member E has inverse(E) <= D, and
+    composition if no member E has E o E <= D; a basis with a non-reflexive
+    entourage reports only those.
+    """
+    violations = []
+    for d in b.entourages:
+        if not d.is_reflexive():
+            violations.append(("reflexivity", d.to_json()))
+    if violations:
+        return ValidationReport(violations)
+    closure = slow_intersection_closure(b.entourages)
+    inverses = [inverse(e) for e in closure]
+    squares = [compose(e, e) for e in closure]
+    for d in closure:
+        if not any(inv.issubset(d) for inv in inverses):
+            violations.append(("symmetry", d.to_json()))
+        if not any(sq.issubset(d) for sq in squares):
+            violations.append(("composition", d.to_json()))
+    return ValidationReport(violations)
+
+
 def search_na_witness(b: DiagonalBasis) -> tuple[bool, Optional[DiagonalBasis]]:
     """Per-member reference for `is_non_archimedean`; raises on an invalid basis.
 
     Each closure member D takes the first eq_closure(D0), D0 in the
     closure, that lies inside D; the chosen relations form the witness.
     """
-    validate_diagonal(b).require("diagonal basis")
-    closure = intersection_closure(b.entourages)
+    slow_validate_diagonal(b).require("diagonal basis")
+    closure = slow_intersection_closure(b.entourages)
     candidates = [eq_closure(e) for e in closure]
     witness = []
     for d in closure:

@@ -369,9 +369,9 @@ def ball_relation(d: Pseudometric, eps) -> Relation:
     # d(x,y) < eps  iff  grid[x][y] < eps.num * scale / eps.den  iff  grid[x][y] < t
     t = -(-eps.numerator * d.scale // eps.denominator)
     below = t.__gt__
-    return Relation(
+    return Relation._trusted(
         d.carrier,
-        [masks[sum(map(below, values)) - 1] for values, masks in _level_balls(d.grid)],
+        tuple([masks[sum(map(below, values)) - 1] for values, masks in _level_balls(d.grid)]),
     )
 
 

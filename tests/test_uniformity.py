@@ -1,6 +1,7 @@
 """Diagonal/covering bases: validation, equality, conversions, NA decision."""
 
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -16,6 +17,7 @@ from ultrauniform.core import (
     is_equivalence,
     refines,
 )
+from ultrauniform.jsonio import dumps
 from ultrauniform.oracle import (
     enumerate_covers,
     enumerate_equivalence_bases,
@@ -25,12 +27,15 @@ from ultrauniform.oracle import (
     enumerate_uniformities,
     enumerate_valid_cover_bases,
     random_cover_basis,
+    random_equivalence,
     random_equivalence_basis,
     random_valid_basis,
     search_na_witness,
     search_partition_basis,
     slow_finest_refinement,
+    slow_intersection_closure,
     slow_validate_cover,
+    slow_validate_diagonal,
 )
 from ultrauniform.pseudometric import basis_from_system, system_from_na_basis
 from ultrauniform.uniformity import (
@@ -72,6 +77,19 @@ def all_reflexive_n3():
     return [r for r in enumerate_relations(3) if r.is_reflexive()]
 
 
+def two_block_basis(rng, n, k):
+    """k random equivalences on n points with exactly two classes each."""
+    carrier = Carrier(n)
+    full = carrier.full_mask
+    members = []
+    for _ in range(k):
+        a = 0
+        while a in (0, full):
+            a = rng.getrandbits(n)
+        members.append(Relation(carrier, [a if a >> x & 1 else full & ~a for x in range(n)]))
+    return DiagonalBasis(carrier, members)
+
+
 class TestValidateDiagonal:
     def test_indiscrete(self):
         assert validate_diagonal(DiagonalBasis(C3, [FULL3])).valid
@@ -107,6 +125,30 @@ class TestValidateDiagonal:
         for b in bases:
             expected = is_equivalence(minimum_entourage(b))
             assert validate_diagonal(b).valid == expected
+
+    def test_two_block_n16_k14_within_budget(self):
+        b = two_block_basis(random.Random(1016), 16, 14)
+        started = time.perf_counter()
+        report = validate_diagonal(b)
+        elapsed = time.perf_counter() - started
+        assert report.valid
+        assert elapsed < 1.0, f"validate_diagonal took {elapsed:.2f}s at n=16, k=14"
+
+
+class TestIntersectionClosure:
+    def test_empty_family(self):
+        assert intersection_closure([]) == ()
+
+    def test_one_shot_generator(self):
+        e2 = eq_closure(Relation.from_pairs(C3, [(1, 2)]))
+        assert intersection_closure(r for r in (E01, e2, FULL3)) == intersection_closure(
+            [E01, e2, FULL3]
+        )
+        assert intersection_closure(iter([PSEUDO])) == (PSEUDO,)
+
+    def test_carrier_mismatch(self):
+        with pytest.raises(CarrierMismatch):
+            intersection_closure([ID3, Relation.identity(Carrier(2))])
 
 
 class TestNormalize:
@@ -303,8 +345,17 @@ class TestHasPartitionBasis:
         assert Cover(C3, [[0], [1], [2]]) in witness.covers
 
 
+def check_validation_against_oracle(b):
+    """The report and the closure against the pairwise scan, byte for byte; returns the report."""
+    report = validate_diagonal(b)
+    assert dumps(report.to_json()) == dumps(slow_validate_diagonal(b).to_json()), b.to_json()
+    assert intersection_closure(b.entourages) == slow_intersection_closure(b.entourages)
+    return report
+
+
 def check_diagonal_against_oracle(b):
     """The D_min decisions against the closure search; True iff b is valid."""
+    check_validation_against_oracle(b)
     try:
         found, reference = search_na_witness(b)
     except ValidationError:
@@ -356,6 +407,26 @@ def random_reflexive_basis(rng, n):
     ])
 
 
+def random_diagonal_basis(rng, n, k):
+    """k members: sparse reflexive supersets of one equivalence, or random reflexive relations.
+
+    About one basis in ten loses a diagonal pair from its first member.
+    """
+    carrier = Carrier(n)
+    base = random_equivalence(rng, n).rows
+    members = []
+    for _ in range(k):
+        if rng.random() < 0.6:
+            rows = [row | rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n) for row in base]
+        else:
+            rows = [rng.getrandbits(n) | 1 << x for x in range(n)]
+        members.append(rows)
+    if rng.random() < 0.1:
+        x = rng.randrange(n)
+        members[0][x] &= ~(1 << x)
+    return DiagonalBasis(carrier, [Relation(carrier, rows) for rows in members])
+
+
 def random_any_cover_basis(rng, n):
     carrier = Carrier(n)
     full = carrier.full_mask
@@ -378,6 +449,17 @@ class TestPrincipalGeneratorAgainstOracle:
         bases += [DiagonalBasis(C3, pair) for pair in combinations(reflexive, 2)]
         valid = sum(check_diagonal_against_oracle(b) for b in bases)
         assert 0 < valid < len(bases)
+
+    def test_validation_reports_on_seeded_bases_up_to_n8(self):
+        rng = random.Random(20261018)
+        kinds = {"valid": 0, "invalid": 0, "reflexivity": 0}
+        for _ in range(2000):
+            report = check_validation_against_oracle(
+                random_diagonal_basis(rng, rng.randint(1, 8), rng.randint(1, 6))
+            )
+            kind = "valid" if report.valid else report.violations[0][0]
+            kinds["invalid" if kind in ("symmetry", "composition") else kind] += 1
+        assert min(kinds.values()) >= 100, kinds
 
     def test_cover_bases_of_one_or_two_covers_n_up_to_3(self):
         checked = valid = 0
