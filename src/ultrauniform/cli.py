@@ -264,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_io(convert)
     convert.add_argument("--to", dest="target", required=True, choices=["cover", "diagonal"])
     add_io(sub.add_parser("check-na", help="decide the non-Archimedean property"))
-    add_io(sub.add_parser("metrize", help="single ultrametric for an equivalence basis"))
+    add_io(sub.add_parser("metrize", help="single ultrametric for a diagonal basis"))
     add_io(sub.add_parser("pm-system", help="pseudo-metric system for a basis"))
     add_io(sub.add_parser("topo-check", help="separation/zero-dim/uniformizability verdicts"))
     add_io(sub.add_parser("uniformize", help="witness basis inducing a topology"))

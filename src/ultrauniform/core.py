@@ -15,11 +15,22 @@ class CarrierMismatch(ValueError):
 
 
 class ValidationError(ValueError):
-    """A structural precondition failed; carries a report when one exists."""
+    """A structural precondition failed; carries a report when one exists.
+
+    `report` may be given as a zero-argument callable, which builds the
+    report when it is first read, so a caller that only catches the error
+    does not pay for it.
+    """
 
     def __init__(self, message: str, report=None):
         super().__init__(message)
-        self.report = report
+        self._report = report
+
+    @property
+    def report(self):
+        if callable(self._report):
+            self._report = self._report()
+        return self._report
 
 
 def mask_of(points: Iterable[int]) -> int:
@@ -226,7 +237,21 @@ def inverse(r: Relation) -> Relation:
 
 
 def is_equivalence(r: Relation) -> bool:
-    return r.is_reflexive() and r.is_symmetric() and r.is_transitive()
+    """Reflexive, and every point related to x has x's row: O(n) row comparisons.
+
+    Such a relation is symmetric (y in R[x] puts x in R[y] = R[x]) and
+    transitive (z in R[y] = R[x]); each class is checked from its first point.
+    """
+    rows = r.rows
+    seen = 0
+    for x, row in enumerate(rows):
+        if not row >> x & 1:
+            return False
+        if not seen >> x & 1:
+            if any(rows[y] != row for y in bits(row)):
+                return False
+            seen |= row
+    return True
 
 
 class UnionFind:

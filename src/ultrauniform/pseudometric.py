@@ -40,11 +40,10 @@ from .core import (
     Carrier,
     CarrierMismatch,
     Relation,
-    ValidationError,
     is_equivalence,
     same_carrier,
 )
-from .uniformity import DiagonalBasis, is_non_archimedean
+from .uniformity import DiagonalBasis, is_non_archimedean, normalize
 
 
 # "p" or "p/q" in ASCII digits, at most 4300 of them in each part (the
@@ -536,34 +535,38 @@ def system_from_na_basis(b: DiagonalBasis) -> PseudometricSystem:
 
 
 def descending_chain(es: Sequence[Relation]) -> Chain:
-    """Cumulative-intersection chain through the given equivalence relations.
+    """Chain of the cumulative intersections of `es` that are equivalences.
 
-    The full relation is prepended when absent; step i+1 is the
-    intersection of step i with the next listed relation, which lies in
-    the intersection closure of the inputs and keeps the chain decreasing.
+    The full relation is prepended when absent; cumulative intersection i
+    is the intersection of the first i listed relations, and those that
+    are equivalences form the chain, in order.  The last one is D_min,
+    which is an equivalence iff `es` is a valid diagonal basis, so the
+    chain ends at D_min; on a basis of equivalences every step is kept.
+    An invalid basis raises ValidationError, as `normalize` does.
     """
     if not es:
         raise ValueError("need at least one relation")
     carrier = same_carrier(*es)
-    for i, e in enumerate(es):
-        if not is_equivalence(e):
-            raise ValidationError(f"relation {i} is not an equivalence relation")
+    normalize(DiagonalBasis(carrier, es))
     full = Relation.full(carrier)
     listed = list(es)
     if listed[0] != full:
         listed.insert(0, full)
     steps = [full]
+    acc = full
     for e in listed[1:]:
-        steps.append(steps[-1] & e)
+        acc = acc & e
+        if is_equivalence(acc):
+            steps.append(acc)
     return Chain(carrier, steps)
 
 
 def metrize(es: Sequence[Relation]) -> Pseudometric:
     """Single ultrametric inducing the uniformity generated by `es`.
 
-    Evaluates the chain distance along the cumulative-intersection chain;
-    the induced uniformity equals the one generated by the inputs together
-    with the full relation.
+    Evaluates the chain distance along `descending_chain(es)`, which ends
+    at D_min, so the induced uniformity is the principal one at D_min:
+    the one generated by the inputs together with the full relation.
     """
     return chain_pm(descending_chain(es))
 

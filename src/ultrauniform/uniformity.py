@@ -3,14 +3,15 @@
 A DiagonalBasis stores a finite generating family of reflexive relations;
 the represented filter is generated by D_min, the intersection of the
 stored entourages, and the basis is valid exactly when D_min is an
-equivalence relation.  Validation names every failing member of the
-intersection closure, testing each against D_min alone (the axioms are
-monotone, so D_min is the best witness for every member); the other
-decisions and conversions are built from D_min.  Dually, a CoverBasis
-generates a covering uniformity through common refinements of its covers,
-whose meet F refines every member; for a valid basis F's co-residence is
-an equivalence.  The per-member searches these replace are kept in
-`oracle` as references.
+equivalence relation.  Every decision and conversion is made on D_min
+alone, in O(k*n) word operations for k entourages on n points: the
+intersection closure is never built for a valid basis.  Only the report
+of an invalid basis walks the closure, to name every failing member; a
+refusal raised by a decision builds that report when it is first read.
+Dually, a CoverBasis generates a covering uniformity through common
+refinements of its covers, whose meet F refines every member; for a
+valid basis F's co-residence is an equivalence.  The per-member searches
+these replace are kept in `oracle` as references.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .core import (
     bits,
     compose,
     inverse,
+    is_equivalence,
     mask_of,
     refines,
     same_carrier,
@@ -55,10 +57,15 @@ class ValidationReport:
 
     def require(self, what: str) -> None:
         if not self.valid:
-            raise ValidationError(f"invalid {what}: {self.violations[0][0]}", report=self)
+            raise _refusal(what, self.violations[0][0], self)
 
     def __repr__(self) -> str:
         return f"ValidationReport(valid={self.valid}, violations={list(self.violations)})"
+
+
+def _refusal(what: str, axiom: str, report) -> ValidationError:
+    """The error for an invalid structure; `report` may be a callable building it."""
+    return ValidationError(f"invalid {what}: {axiom}", report=report)
 
 
 class DiagonalBasis:
@@ -241,6 +248,21 @@ def intersection_closure(relations: Iterable[Relation]) -> tuple[Relation, ...]:
     return tuple(Relation._trusted(carrier, rows) for rows in sorted(closure))
 
 
+def _failing_axiom(d_min: Relation) -> str | None:
+    """The first axiom a basis with intersection d_min fails, or None if valid.
+
+    Reflexivity holds for every stored entourage iff it holds for their
+    intersection.  Otherwise, by the monotonicity in `validate_diagonal`,
+    some closure member fails an axiom iff D_min, the first member, does;
+    so this is the axiom of that report's first violation.
+    """
+    if not d_min.is_reflexive():
+        return "reflexivity"
+    if is_equivalence(d_min):
+        return None
+    return "composition" if d_min.is_symmetric() else "symmetry"
+
+
 def validate_diagonal(b: DiagonalBasis) -> ValidationReport:
     """Check the diagonal uniformity basis axioms over the intersection closure.
 
@@ -255,10 +277,15 @@ def validate_diagonal(b: DiagonalBasis) -> ValidationReport:
     - D_min <= E for each member E, and inverse and E o E are monotone, so
       inverse(D_min) <= inverse(E) and D_min o D_min <= E o E;
     - so some E serves D iff D_min does, and D_min is itself a member.
-    Each member is therefore tested once per axiom, against D_min alone.
-    The violations, their order and their witnesses are those of the scan
-    over every pair of members, which `oracle.slow_validate_diagonal` keeps.
+    So the basis is valid iff D_min is an equivalence, which is decided in
+    O(k*n) word operations without the closure.  Only an invalid basis
+    builds the closure, testing each member once per axiom against D_min
+    alone.  The violations, their order and their witnesses are those of
+    the scan over every pair of members, which `oracle.slow_validate_diagonal`
+    keeps.
     """
+    if _failing_axiom(minimum_entourage(b)) is None:
+        return ValidationReport()
     violations = []
     for d in b.entourages:
         if not d.is_reflexive():
@@ -286,9 +313,18 @@ def minimum_entourage(b: DiagonalBasis) -> Relation:
 
 
 def normalize(b: DiagonalBasis) -> DiagonalBasis:
-    """Canonical singleton basis {D_min}; requires a valid basis."""
-    validate_diagonal(b).require("diagonal basis")
-    return DiagonalBasis(b.carrier, [minimum_entourage(b)])
+    """Canonical singleton basis {D_min}; requires a valid basis.
+
+    Validity is decided on D_min in O(k*n) word operations; no closure is
+    built.  An invalid basis raises ValidationError naming the first
+    failing axiom; its `report`, the full `validate_diagonal(b)`, is built
+    when it is first read.
+    """
+    d_min = minimum_entourage(b)
+    axiom = _failing_axiom(d_min)
+    if axiom is not None:
+        raise _refusal("diagonal basis", axiom, lambda: validate_diagonal(b))
+    return DiagonalBasis(b.carrier, [d_min])
 
 
 def uniformity_equal(b1: DiagonalBasis, b2: DiagonalBasis) -> bool:

@@ -319,6 +319,40 @@ class TestConvertAndRoundtrip:
         assert obj["report"]["violations"][0]["axiom"] == "composition"
 
 
+# one basis failing each axiom first: a member off the diagonal, an asymmetric
+# D_min, and a symmetric D_min that is not transitive
+REFUSED_BASES = {
+    "reflexivity": json.dumps({"n": 3, "entourages": [
+        {"n": 3, "pairs": [[0, 0], [1, 1], [0, 1]]},
+        {"n": 3, "pairs": [[x, y] for x in range(3) for y in range(3)]},
+    ]}),
+    "symmetry": json.dumps({"n": 3, "entourages": [
+        {"n": 3, "pairs": [[0, 0], [1, 1], [2, 2], [0, 1], [0, 2]]},
+        {"n": 3, "pairs": [[0, 0], [1, 1], [2, 2], [0, 1], [1, 2], [2, 1]]},
+    ]}),
+    "composition": PSEUDO_JSON,
+}
+
+
+class TestRefusalReport:
+    """Every verb that needs a valid basis prints the report `validate` prints."""
+
+    @pytest.mark.parametrize("axiom", sorted(REFUSED_BASES))
+    @pytest.mark.parametrize(
+        "verb",
+        [["check-na"], ["pm-system"], ["convert", "--to", "cover"], ["roundtrip"], ["metrize"]],
+        ids=["check-na", "pm-system", "convert-cover", "roundtrip", "metrize"],
+    )
+    def test_refusal_bytes(self, capsys, verb, axiom):
+        basis = REFUSED_BASES[axiom]
+        assert main(["validate", "--in", basis]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["violations"][0]["axiom"] == axiom
+        assert main([*verb, "--in", basis]) == 2
+        expected = {"error": f"invalid diagonal basis: {axiom}", "report": report}
+        assert capsys.readouterr().out == dumps(expected)
+
+
 class TestMetrizeAndSystem:
     def test_metrize(self, capsys):
         code, obj = run(capsys, "metrize", "--in", BASIS_JSON)
@@ -330,6 +364,16 @@ class TestMetrizeAndSystem:
         bad = json.dumps({"n": 2, "entourages": [{"n": 2, "pairs": [[0, 0], [1, 1], [0, 1]]}]})
         code, obj = run(capsys, "metrize", "--in", bad)
         assert code == 2
+        assert obj["error"] == "invalid diagonal basis: symmetry"
+
+    def test_metrize_accepts_valid_basis_of_non_equivalences(self, capsys):
+        # {0,1 | 2} with (0,2), and with (2,0): neither is symmetric, their meet is
+        block = [[0, 0], [0, 1], [1, 0], [1, 1], [2, 2]]
+        basis = json.dumps({"n": 3, "entourages": [
+            {"n": 3, "pairs": block + [[0, 2]]}, {"n": 3, "pairs": block + [[2, 0]]},
+        ]})
+        assert run(capsys, "validate", "--in", basis)[0] == 0
+        assert run(capsys, "metrize", "--in", basis) == run(capsys, "metrize", "--in", BASIS_JSON)
 
     def test_pm_system_round_trips_uniformity(self, capsys):
         code, obj = run(capsys, "pm-system", "--in", BASIS_JSON)

@@ -19,9 +19,11 @@ from ultrauniform.core import (
     eq_closure,
     is_equivalence,
 )
+from ultrauniform.jsonio import dumps
 from ultrauniform.oracle import (
     check_pseudometric,
     check_strong_triangle,
+    enumerate_relations,
     random_equivalence,
     random_ultrametric,
     slow_ball_relation,
@@ -42,7 +44,7 @@ from ultrauniform.pseudometric import (
     thresholds,
 )
 from ultrauniform.pseudometric import _is_ultrametric, _level_balls, _pack, _triangle_failure
-from ultrauniform.uniformity import DiagonalBasis, uniformity_equal
+from ultrauniform.uniformity import DiagonalBasis, uniformity_equal, validate_diagonal
 
 C3 = Carrier(3)
 FULL3 = Relation.full(C3)
@@ -381,8 +383,35 @@ class TestMetrize:
         assert set(induced.entourages) == {FULL3, E01, ID3}
 
     def test_rejects_non_equivalence(self):
-        with pytest.raises(ValidationError):
-            metrize([Relation.from_pairs(C3, [(0, 1)])])
+        for es in ([Relation.from_pairs(C3, [(0, 1)])], [ID3 | Relation.from_pairs(C3, [(0, 1)])]):
+            with pytest.raises(ValidationError, match="^invalid diagonal basis: ") as refused:
+                metrize(es)
+            expected = validate_diagonal(DiagonalBasis(C3, es))
+            assert dumps(refused.value.report.to_json()) == dumps(expected.to_json())
+
+    def test_valid_basis_of_non_equivalences(self):
+        # neither member is symmetric, but their intersection E01 is an equivalence
+        a = E01 | Relation.from_pairs(C3, [(0, 2)])
+        b = E01 | Relation.from_pairs(C3, [(2, 0)])
+        assert descending_chain([a, b]).steps == (FULL3, E01)
+        d = metrize([a, b])
+        assert d == metrize([E01])
+        induced = basis_from_system(PseudometricSystem(C3, [d]))
+        assert uniformity_equal(induced, DiagonalBasis(C3, [a, b]))
+
+    def test_every_valid_basis_of_one_or_two_reflexive_relations_n3(self):
+        reflexive = [r for r in enumerate_relations(3) if r.is_reflexive()]
+        bases = [[r] for r in reflexive] + [list(pair) for pair in itertools.combinations(reflexive, 2)]
+        valid = 0
+        for es in bases:
+            b = DiagonalBasis(C3, es)
+            if not validate_diagonal(b).valid:
+                continue
+            valid += 1
+            d = metrize(es)
+            assert is_na(d)
+            assert uniformity_equal(basis_from_system(PseudometricSystem(C3, [d])), b), es
+        assert 0 < valid < len(bases)
 
     def test_induces_input_uniformity_on_random_bases(self):
         rng = random.Random(17)

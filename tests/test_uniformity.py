@@ -134,6 +134,30 @@ class TestValidateDiagonal:
         assert report.valid
         assert elapsed < 1.0, f"validate_diagonal took {elapsed:.2f}s at n=16, k=14"
 
+    def test_two_block_n64_k40_decided_within_budget(self):
+        b = two_block_basis(random.Random(1064), 64, 40)
+        for decide in (validate_diagonal, is_non_archimedean):
+            started = time.perf_counter()
+            decide(b)
+            elapsed = time.perf_counter() - started
+            assert elapsed < 0.05, f"{decide.__name__} took {elapsed:.3f}s at n=64, k=40"
+        assert validate_diagonal(b).valid
+
+    def test_two_block_n64_k40_refused_without_closure(self):
+        # one pair outside D_min added to every member leaves D_min asymmetric;
+        # the closure of the 40 members is far too large to build, so the
+        # refusal must come from D_min alone and its report must stay unread
+        b = two_block_basis(random.Random(1064), 64, 40)
+        d_min = minimum_entourage(b)
+        x, y = next((x, y) for x in range(64) for y in range(64) if not d_min.has(x, y))
+        extra = Relation.from_pairs(b.carrier, [(x, y)])
+        bad = DiagonalBasis(b.carrier, [e | extra for e in b.entourages])
+        started = time.perf_counter()
+        with pytest.raises(ValidationError, match="^invalid diagonal basis: symmetry$"):
+            normalize(bad)
+        elapsed = time.perf_counter() - started
+        assert elapsed < 0.05, f"normalize took {elapsed:.3f}s to refuse at n=64, k=40"
+
 
 class TestIntersectionClosure:
     def test_empty_family(self):
@@ -353,15 +377,31 @@ def check_validation_against_oracle(b):
     return report
 
 
+REFUSING_DECIDERS = (
+    normalize,
+    is_non_archimedean,
+    lambda b: uniformity_equal(b, b),
+    cover_basis_from_diagonal,
+    system_from_na_basis,
+)
+
+
 def check_diagonal_against_oracle(b):
-    """The D_min decisions against the closure search; True iff b is valid."""
+    """The D_min decisions against the closure search; True iff b is valid.
+
+    An invalid basis must be refused by every decider with the oracle's
+    first failing axiom and, read from the error, the oracle's full report.
+    """
     check_validation_against_oracle(b)
     try:
         found, reference = search_na_witness(b)
     except ValidationError:
-        for decide in (is_non_archimedean, cover_basis_from_diagonal, system_from_na_basis):
-            with pytest.raises(ValidationError):
+        slow = slow_validate_diagonal(b)
+        for decide in REFUSING_DECIDERS:
+            with pytest.raises(ValidationError) as refused:
                 decide(b)
+            assert str(refused.value) == f"invalid diagonal basis: {slow.violations[0][0]}"
+            assert dumps(refused.value.report.to_json()) == dumps(slow.to_json())
         return False
     ok, witness = is_non_archimedean(b)
     assert ok and found
