@@ -165,7 +165,7 @@ def _cmd_metrize(structure) -> tuple[int, dict]:
     from .uniformity import DiagonalBasis
 
     if not isinstance(structure, DiagonalBasis):
-        raise ValueError("metrize expects a diagonal basis of equivalence relations")
+        raise ValueError("metrize expects a diagonal basis")
     return EXIT_OK, metrize(structure.entourages).to_json()
 
 

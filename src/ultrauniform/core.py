@@ -178,7 +178,8 @@ class Relation:
         return sum(row.bit_count() for row in self.rows)
 
     def to_json(self) -> dict:
-        return {"n": self.n, "pairs": [list(p) for p in self.pairs()]}
+        pairs = [[x, y] for x, row in enumerate(self.rows) for y in bits(row)]
+        return {"n": self.n, "pairs": pairs}
 
     @classmethod
     def from_json(cls, obj: dict) -> "Relation":

@@ -64,8 +64,11 @@ def _render(value, nl: str) -> str:
         if not value:
             return "[]"
         inner = nl + "  "
-        if set(map(type, value)) == {str}:  # rows of distances, quoted in one pass
+        kinds = set(map(type, value))
+        if kinds == {str}:  # rows of distances, quoted in one pass
             items = map(_quote, value)
+        elif kinds == {int}:  # pairs and point lists, in one pass (bools are not ints here)
+            items = map(int.__repr__, value)
         else:
             items = [_render(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(items) + nl + "]"

@@ -21,8 +21,8 @@ one big-int expression per pair of points, which names its first failing
 
 Ball relations are read from the table's level balls: per point, its
 distinct distances in ascending order and the ball of each as a bitmask,
-built in one pass over the grid and kept for the last few grids, so each
-radius costs one C-level count per point.
+built in one pass over the grid on the first ball the table is asked for
+and kept on the table, so each radius costs one C-level count per point.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import re
 import sys
 from array import array
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -182,7 +181,7 @@ def _triangle_failure(
 class Pseudometric:
     """Symmetric nonnegative distance table with zero diagonal and triangles."""
 
-    __slots__ = ("carrier", "scale", "grid")
+    __slots__ = ("carrier", "scale", "grid", "_balls")
 
     def __init__(self, carrier: Carrier, dist: Sequence[Sequence]):
         n = carrier.n
@@ -330,16 +329,11 @@ def sup_pm(ds: Sequence[Pseudometric]) -> Pseudometric:
     return Pseudometric._from_grid(carrier, grid, scale)
 
 
-# grids whose level balls are kept: a table's radii are read one after another
-_LEVEL_BALLS_KEPT = 4
-
-
-@lru_cache(maxsize=_LEVEL_BALLS_KEPT)
 def _level_balls(grid: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple, tuple], ...]:
     """Per point x: the ascending values v of grid[x], and the balls {y | grid[x][y] <= v}.
 
-    One pass over the grid, kept per grid so that the radii of one table
-    share it; each ball is a bitmask, and the balls of a point grow.
+    One pass over the grid, kept on the table so that its radii share it;
+    each ball is a bitmask, and the balls of a point grow.
     """
     balls = []
     for row in grid:
@@ -368,9 +362,12 @@ def ball_relation(d: Pseudometric, eps) -> Relation:
     # d(x,y) < eps  iff  grid[x][y] < eps.num * scale / eps.den  iff  grid[x][y] < t
     t = -(-eps.numerator * d.scale // eps.denominator)
     below = t.__gt__
+    try:
+        balls = d._balls
+    except AttributeError:
+        balls = d._balls = _level_balls(d.grid)
     return Relation._trusted(
-        d.carrier,
-        tuple([masks[sum(map(below, values)) - 1] for values, masks in _level_balls(d.grid)]),
+        d.carrier, tuple([masks[sum(map(below, values)) - 1] for values, masks in balls])
     )
 
 

@@ -366,6 +366,12 @@ class TestMetrizeAndSystem:
         assert code == 2
         assert obj["error"] == "invalid diagonal basis: symmetry"
 
+    def test_metrize_refuses_input_that_is_not_a_diagonal_basis(self, capsys):
+        for text in ('{"n": 2, "dist": [[0, 1], [1, 0]]}', '{"n": 2, "pairs": [[0, 0]]}'):
+            assert run(capsys, "metrize", "--in", text) == (
+                2, {"error": "metrize expects a diagonal basis"}
+            )
+
     def test_metrize_accepts_valid_basis_of_non_equivalences(self, capsys):
         # {0,1 | 2} with (0,2), and with (2,0): neither is symmetric, their meet is
         block = [[0, 0], [0, 1], [1, 0], [1, 1], [2, 2]]
@@ -399,6 +405,9 @@ class TestUniformize:
 # Sweep stdout recorded before the sweeps were folded into one table, as
 # (theorem, arguments after --theorem, checked, satisfying, seed); every one
 # had no discrepancy and exited 0.  Each row runs under the id and its alias.
+# The exhaustive T4.1 rows for n <= 3 were recorded again when that sweep was
+# widened from equivalence bases to every valid basis of at most two
+# reflexive relations; its seeded rows keep their counts with the new draws.
 PINNED_SWEEPS = [
     ("T2.4", "--n 1", 1, 1, None),
     ("T2.4", "--n 2", 3, 3, None),
@@ -412,8 +421,8 @@ PINNED_SWEEPS = [
     ("T3.2", "--n 3", 29, 5, None),
     ("T3.2", "--n 4", 355, 15, None),
     ("T4.1", "--n 1", 1, 1, None),
-    ("T4.1", "--n 2", 3, 3, None),
-    ("T4.1", "--n 3", 25, 25, None),
+    ("T4.1", "--n 2", 6, 6, None),
+    ("T4.1", "--n 3", 489, 489, None),
     ("T4.1", "--n 4", 575, 575, None),
     ("T4.1", "--n 5 --trials 7 --seed 3", 7, 7, 3),
     ("T4.1", "--n 4 --seed 11", 100, 100, 11),

@@ -1,5 +1,7 @@
 """Relations, partitions, and the closure algebra."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -244,6 +246,24 @@ class TestJson:
         obj = p.to_json()
         assert obj == {"n": 3, "blocks": [[0, 1], [2]]}
         assert Partition.from_json(obj) == p
+
+    def test_relation_pairs_equal_pairs_generator_on_seeded_relations(self):
+        rng = random.Random(64)
+        for _ in range(300):
+            n = rng.choice([1, 2, 3, 5, 8, 16, 31, 32, 33, 63, 64])
+            full = (1 << n) - 1
+            # empty and full rows among sparse and dense ones
+            rows = [rng.choice([0, full, rng.getrandbits(n), rng.getrandbits(n) & rng.getrandbits(n)])
+                    for _ in range(n)]
+            r = Relation(Carrier(n), rows)
+            obj = r.to_json()
+            assert obj == {"n": n, "pairs": [list(p) for p in r.pairs()]}
+            again = r.to_json()["pairs"]
+            assert all(a is not b for a, b in zip(obj["pairs"], again))  # fresh lists
+        for n in (1, 7, 64):
+            assert Relation.empty(Carrier(n)).to_json() == {"n": n, "pairs": []}
+            pairs = Relation.full(Carrier(n)).to_json()["pairs"]
+            assert pairs == [[x, y] for x in range(n) for y in range(n)]
 
     def test_bad_pairs_field(self):
         with pytest.raises(ValueError, match="pairs"):

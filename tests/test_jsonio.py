@@ -128,6 +128,48 @@ def test_dumps_matches_stdlib_on_every_verb(capsys, argv):
     assert out == reference(json.loads(out))
 
 
+def seeded_library_payloads():
+    """Relations, partitions, covers, opens and reports drawn from a seed."""
+    from ultrauniform.oracle import (
+        enumerate_preorder_topologies,
+        random_cover_basis,
+        random_partition,
+    )
+
+    rng = random.Random(2026)
+    topologies = list(enumerate_preorder_topologies(3))
+    for _ in range(60):
+        n = rng.randint(1, 12)
+        carrier = Carrier(n)
+        rows = [rng.getrandbits(n) | 1 << x for x in range(n)]
+        r = Relation(carrier, rows)
+        yield r
+        yield random_partition(rng, n)
+        yield random_cover_basis(rng, n)
+        yield rng.choice(topologies)
+        extra = Relation(carrier, [rng.getrandbits(n) | 1 << x for x in range(n)])
+        yield validate_diagonal(DiagonalBasis(carrier, [r, extra]))
+
+
+def test_dumps_matches_stdlib_on_seeded_library_payloads():
+    reports = 0
+    for structure in seeded_library_payloads():
+        assert dumps(structure) == reference(structure.to_json())
+        reports += bool(getattr(structure, "violations", ()))
+    assert reports >= 10
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [[1, True], [True, 1], [True, False], [0, False, 2], [[0, 1], [True, 0]], [2**70, -3, 0],
+     {"pairs": [[0, 1]], "valid": False}, [None, 1], ["1", 1]],
+    ids=["int then bool", "bool then int", "bools", "ints around a bool", "pairs with a bool",
+         "big and negative ints", "pairs and a verdict", "null and int", "str and int"],
+)
+def test_dumps_matches_stdlib_on_mixed_int_and_bool_lists(payload):
+    assert dumps(payload) == reference(payload)
+
+
 def random_payload(rng: random.Random, depth: int):
     kind = rng.randrange(9 if depth else 6)
     if kind == 0:

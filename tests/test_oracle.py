@@ -2,10 +2,11 @@
 
 import random
 import time
+from itertools import combinations
 
 import pytest
 
-from ultrauniform.core import Relation, is_equivalence
+from ultrauniform.core import Carrier, Relation, is_equivalence
 from ultrauniform.jsonio import dumps
 from ultrauniform.oracle import (
     DEFAULT_SEED,
@@ -22,6 +23,7 @@ from ultrauniform.oracle import (
     random_cover_basis,
     random_ultrametric,
     random_valid_basis,
+    slow_validate_diagonal,
     theorem_sweep,
 )
 from ultrauniform.oracle import (
@@ -31,7 +33,7 @@ from ultrauniform.oracle import (
     check_strong_triangle,
 )
 from ultrauniform.topology import validate_topology
-from ultrauniform.uniformity import validate_cover, validate_diagonal
+from ultrauniform.uniformity import DiagonalBasis, validate_cover, validate_diagonal
 
 
 class TestCounts:
@@ -161,8 +163,13 @@ class TestSweeps:
 
     def test_metrization_sweep_exhaustive(self):
         report = theorem_sweep("T4.1", 3)
-        assert report.checked == 5 + 10 + 10
+        # every valid basis of at most two of the 64 reflexive relations on 3 points
+        reflexive = [r for r in enumerate_relations(3) if r.is_reflexive()]
+        bases = [[r] for r in reflexive] + [list(pair) for pair in combinations(reflexive, 2)]
+        valid = [es for es in bases if slow_validate_diagonal(DiagonalBasis(Carrier(3), es)).valid]
+        assert report.checked == report.satisfying == len(valid) == 489
         assert report.discrepancies == 0
+        assert any(not all(map(is_equivalence, es)) for es in valid)
 
     def test_roundtrip_sweep_n2(self):
         report = theorem_sweep("R2.1-roundtrip", 2)

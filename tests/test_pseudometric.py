@@ -133,7 +133,9 @@ class TestConstruction:
 
     def test_only_the_grid_is_stored(self):
         d = pm([[0, "1/2", "1/3"], ["1/2", 0, "1/2"], ["1/3", "1/2", 0]])
-        assert Pseudometric.__slots__ == ("carrier", "scale", "grid")
+        # the level balls are derived from the grid by the first ball_relation
+        assert Pseudometric.__slots__ == ("carrier", "scale", "grid", "_balls")
+        assert not hasattr(d, "_balls")
         assert (d.scale, d.grid) == (6, ((0, 3, 2), (3, 0, 3), (2, 3, 0)))
         assert d.dist[0] == (0, Fraction(1, 2), Fraction(1, 3))
         with pytest.raises(AttributeError):
@@ -964,22 +966,23 @@ class TestLevelBalls:
         assert ball_relation(d, Fraction(1, 3)) == slow_ball_relation(d, Fraction(1, 3))
         assert ball_relation(d, Fraction(1, 3)) == ball_relation(d, Fraction(1, 2))
 
-    def test_more_tables_than_the_memo_holds(self):
+    def test_each_table_keeps_its_own_balls(self):
         rng = random.Random(4)
-        kept = _level_balls.cache_info().maxsize
-        tables = [non_ultrametric_table(rng, rng.randint(2, 12)) for _ in range(3 * kept)]
-        tables += [random_ultrametric(rng, rng.randint(2, 12)) for _ in range(3 * kept)]
-        _level_balls.cache_clear()
-        for round_ in range(3):
+        tables = [non_ultrametric_table(rng, rng.randint(2, 12)) for _ in range(12)]
+        tables += [random_ultrametric(rng, rng.randint(2, 12)) for _ in range(12)]
+        kept = {}
+        for _ in range(3):  # the tables' radii interleaved, each table read again
             order = list(range(len(tables)))
             rng.shuffle(order)
             for i in order:
                 d = tables[i]
                 for eps in thresholds(d) + [Fraction(1, 3)]:
                     assert ball_relation(d, eps) == slow_ball_relation(d, eps)
-        info = _level_balls.cache_info()
-        assert info.currsize == kept and info.misses > len(set(tables))
-        assert info.hits > 0
+                assert kept.setdefault(i, d._balls) is d._balls  # built once per table
+        assert all(d._balls == _level_balls(d.grid) for d in tables)
+        fresh = Pseudometric._from_grid(tables[0].carrier, tables[0].grid, tables[0].scale)
+        assert fresh == tables[0]
+        assert not hasattr(fresh, "_balls")
 
     def test_level_balls_grow_and_end_at_the_carrier(self):
         rng = random.Random(6)

@@ -14,6 +14,7 @@ from ultrauniform.core import (
     ValidationError,
     compose,
     eq_closure,
+    inverse,
     is_equivalence,
     refines,
 )
@@ -55,7 +56,6 @@ from ultrauniform.uniformity import (
     minimum_entourage,
     normalize,
     relation_from_cover,
-    star,
     star_refines,
     uniformity_equal,
     validate_cover,
@@ -88,6 +88,30 @@ def two_block_basis(rng, n, k):
             a = rng.getrandbits(n)
         members.append(Relation(carrier, [a if a >> x & 1 else full & ~a for x in range(n)]))
     return DiagonalBasis(carrier, members)
+
+
+def widened_two_block_basis(rng, n, k):
+    """An invalid basis drawn as the `closure` benchmark draws one.
+
+    k two-block equivalences; each member after the first is, with
+    probability 1/2, widened by pairs outside the first; and one pair
+    outside the meet of the equivalences is added to every member, so that
+    D_min is not symmetric.
+    """
+    eqs = two_block_basis(rng, n, k)
+    first, meet = eqs.entourages[0], minimum_entourage(eqs)
+    x, y = rng.choice([(x, y) for x in range(n) for y in range(n) if not meet.has(x, y)])
+    members = []
+    for i, e in enumerate(eqs.entourages):
+        rows = list(e.rows)
+        if i and rng.random() < 0.5:
+            for _ in range(rng.randint(1, n)):
+                u, v = rng.randrange(n), rng.randrange(n)
+                if not first.has(u, v):
+                    rows[u] |= 1 << v
+        rows[x] |= 1 << y
+        members.append(Relation(eqs.carrier, rows))
+    return DiagonalBasis(eqs.carrier, members)
 
 
 class TestValidateDiagonal:
@@ -133,6 +157,25 @@ class TestValidateDiagonal:
         elapsed = time.perf_counter() - started
         assert report.valid
         assert elapsed < 1.0, f"validate_diagonal took {elapsed:.2f}s at n=16, k=14"
+
+    def test_invalid_n16_k14_report_within_budget(self):
+        b = widened_two_block_basis(random.Random(1416), 16, 14)
+        started = time.perf_counter()
+        report = validate_diagonal(b)
+        elapsed = time.perf_counter() - started
+        assert elapsed < 0.5, f"validate_diagonal took {elapsed:.2f}s to report at n=16, k=14"
+        d_min = minimum_entourage(b)
+        needed = {"symmetry": inverse(d_min), "composition": compose(d_min, d_min)}
+        # the axioms named are those D_min fails, and each witness is a member failing its axiom
+        assert {axiom for axiom, _ in report.violations} == {
+            axiom for axiom, need in needed.items() if not need.issubset(d_min)
+        }
+        closure = intersection_closure(b.entourages)
+        assert len(report.violations) > 1000
+        assert report.violations == tuple(
+            (axiom, d.to_json())
+            for d in closure for axiom, need in needed.items() if not need.issubset(d)
+        )
 
     def test_two_block_n64_k40_decided_within_budget(self):
         b = two_block_basis(random.Random(1064), 64, 40)
@@ -326,10 +369,6 @@ class TestDiagonalFromCover:
 
 
 class TestStarAndValidateCover:
-    def test_star_example(self):
-        u = Cover(C3, [[0, 1], [1, 2]])
-        assert star([0], u) == {0, 1}
-
     def test_partition_bases_valid(self):
         parts = list(enumerate_partitions(3))
         for p in parts:
