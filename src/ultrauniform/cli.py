@@ -2,7 +2,7 @@
 
 Every command reads and writes JSON only.  Exit codes: 0 when the command
 succeeds and any checked property holds, 1 when a checked property fails,
-2 on malformed input or violated preconditions.
+2 on malformed input or violated preconditions, 3 on an internal error.
 
 Each verb imports the layers it calls when it runs, so that a command
 compiles and loads only those: `import ultrauniform.cli` loads none.
@@ -20,6 +20,7 @@ from .jsonio import dumps, structure_from_json
 EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 
 def padic_valuation(x: int, p: int) -> int:
@@ -304,6 +305,17 @@ _STRUCTURE_VERBS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except Exception as exc:  # a fault of the program, MemoryError included, is never exit 1
+        import traceback
+
+        traceback.print_exc()  # to stderr; stdout keeps one JSON document
+        _emit({"error": f"internal error: {type(exc).__name__}: {exc}"}, None)
+        return EXIT_INTERNAL
+
+
+def _run(args) -> int:
     try:
         if args.verb == "sweep":
             code, payload = _cmd_sweep(args)

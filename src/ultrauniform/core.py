@@ -7,6 +7,8 @@ All values are immutable after construction.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from operator import and_, or_
 from typing import Iterable, Iterator
 
 
@@ -39,6 +41,12 @@ def mask_of(points: Iterable[int]) -> int:
     for x in points:
         m |= 1 << x
     return m
+
+
+@lru_cache(maxsize=64)
+def _units(n: int) -> tuple[int, ...]:
+    """The rows of the identity on n points: 1 << x for each point x."""
+    return tuple(1 << x for x in range(n))
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -144,9 +152,6 @@ class Relation:
     def has(self, x: int, y: int) -> bool:
         return bool(self.rows[x] >> y & 1)
 
-    def __contains__(self, pair: tuple[int, int]) -> bool:
-        return self.has(*pair)
-
     def pairs(self) -> Iterator[tuple[int, int]]:
         """Yield the member pairs in lexicographic order."""
         for x, row in enumerate(self.rows):
@@ -155,18 +160,18 @@ class Relation:
 
     def __and__(self, other: "Relation") -> "Relation":
         carrier = same_carrier(self, other)
-        return Relation._trusted(carrier, tuple(map(int.__and__, self.rows, other.rows)))
+        return Relation._trusted(carrier, tuple(map(and_, self.rows, other.rows)))
 
     def __or__(self, other: "Relation") -> "Relation":
         carrier = same_carrier(self, other)
-        return Relation._trusted(carrier, tuple(map(int.__or__, self.rows, other.rows)))
+        return Relation._trusted(carrier, tuple(map(or_, self.rows, other.rows)))
 
     def issubset(self, other: "Relation") -> bool:
         same_carrier(self, other)
-        return tuple(map(int.__and__, self.rows, other.rows)) == self.rows
+        return tuple(map(and_, self.rows, other.rows)) == self.rows
 
     def is_reflexive(self) -> bool:
-        return all(row >> x & 1 for x, row in enumerate(self.rows))
+        return all(map(and_, self.rows, _units(self.carrier.n)))
 
     def is_symmetric(self) -> bool:
         return self.rows == inverse(self).rows
@@ -174,12 +179,10 @@ class Relation:
     def is_transitive(self) -> bool:
         return compose(self, self).issubset(self)
 
-    def count(self) -> int:
-        return sum(row.bit_count() for row in self.rows)
-
     def to_json(self) -> dict:
-        pairs = [[x, y] for x, row in enumerate(self.rows) for y in bits(row)]
-        return {"n": self.n, "pairs": pairs}
+        rows = self.rows
+        cols = {row: tuple(bits(row)) for row in set(rows)}
+        return {"n": self.n, "pairs": [[x, y] for x, row in enumerate(rows) for y in cols[row]]}
 
     @classmethod
     def from_json(cls, obj: dict) -> "Relation":
@@ -238,60 +241,36 @@ def inverse(r: Relation) -> Relation:
 
 
 def is_equivalence(r: Relation) -> bool:
-    """Reflexive, and every point related to x has x's row: O(n) row comparisons.
+    """Reflexive, and the sizes of the distinct rows add up to n: C-level passes.
 
-    Such a relation is symmetric (y in R[x] puts x in R[y] = R[x]) and
-    transitive (z in R[y] = R[x]); each class is checked from its first point.
+    Reflexive rows cover the carrier, so the sizes add up to n iff the
+    distinct rows partition it; then y in R[x] and y in R[y] give
+    R[y] = R[x], so R is symmetric and transitive.
     """
-    rows = r.rows
-    seen = 0
-    for x, row in enumerate(rows):
-        if not row >> x & 1:
-            return False
-        if not seen >> x & 1:
-            if any(rows[y] != row for y in bits(row)):
-                return False
-            seen |= row
-    return True
-
-
-class UnionFind:
-    """Disjoint sets over 0..n-1 with path compression and union by size."""
-
-    __slots__ = ("parent", "size")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return
-        if self.size[rx] < self.size[ry]:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        self.size[rx] += self.size[ry]
+    return r.is_reflexive() and sum(map(int.bit_count, set(r.rows))) == len(r.rows)
 
 
 def eq_closure(r: Relation) -> Relation:
-    """Least equivalence relation containing r (union-find over its pairs)."""
-    uf = UnionFind(r.n)
+    """Least equivalence relation containing r: each row merges the classes it meets.
+
+    The classes stay disjoint, so one pass over them finds every class that
+    {x} and R[x] meet.
+    """
+    classes: list[int] = []
     for x, row in enumerate(r.rows):
-        for y in bits(row):
-            uf.union(x, y)
-    class_mask = {}
-    for x in range(r.n):
-        root = uf.find(x)
-        class_mask[root] = class_mask.get(root, 0) | (1 << x)
-    return Relation(r.carrier, (class_mask[uf.find(x)] for x in range(r.n)))
+        merged = row | 1 << x
+        rest = []
+        for c in classes:
+            if c & merged:
+                merged |= c
+            else:
+                rest.append(c)
+        classes = rest + [merged]
+    rows = [0] * r.n
+    for c in classes:
+        for x in bits(c):
+            rows[x] = c
+    return Relation._trusted(r.carrier, tuple(rows))
 
 
 class Partition:
@@ -361,17 +340,10 @@ class Partition:
 
 
 def to_partition(e: Relation) -> Partition:
-    """Convert an equivalence relation to its partition of classes."""
+    """Convert an equivalence relation to its partition of classes, its distinct rows."""
     if not is_equivalence(e):
         raise ValidationError("relation is not an equivalence relation")
-    blocks = []
-    seen = 0
-    for x in range(e.n):
-        if not seen >> x & 1:
-            row = e.rows[x]
-            blocks.append(tuple(bits(row)))
-            seen |= row
-    return Partition(e.carrier, blocks)
+    return Partition(e.carrier, map(bits, set(e.rows)))
 
 
 def to_relation(p: Partition) -> Relation:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from importlib import import_module
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 
 # discriminating field -> (layer module, class), tried in this order
@@ -47,6 +48,23 @@ def loads(text: str):
     return structure_from_json(json.loads(text))
 
 
+def _render_rows(rows, nl: str):
+    """Rendered rows after one type pass over all cells, or None for other rows.
+
+    Int rows of one length (pairs) share one %-format; str rows (distance
+    tables) are quoted with one map each.
+    """
+    cells = set(map(type, chain.from_iterable(rows)))
+    inner = nl + "  "
+    sep = "," + inner
+    if cells == {int} and len(set(map(len, rows))) == 1:
+        row_format = "[" + inner + sep.join(["%d"] * len(rows[0])) + nl + "]"
+        return map(row_format.__mod__, map(tuple, rows))
+    if cells == {str} and all(rows):
+        return ["[" + inner + sep.join(map(_quote, row)) + nl + "]" for row in rows]
+    return None
+
+
 def _render(value, nl: str) -> str:
     """`value` as indent-2, sorted-key JSON; `nl` is a newline plus the current indent."""
     kind = type(value)
@@ -65,11 +83,14 @@ def _render(value, nl: str) -> str:
             return "[]"
         inner = nl + "  "
         kinds = set(map(type, value))
-        if kinds == {str}:  # rows of distances, quoted in one pass
+        items = None
+        if kinds == {str}:
             items = map(_quote, value)
-        elif kinds == {int}:  # pairs and point lists, in one pass (bools are not ints here)
+        elif kinds == {int}:  # point lists, in one pass (bools are not ints here)
             items = map(int.__repr__, value)
-        else:
+        elif kinds <= {list, tuple}:  # pairs and distance tables, when their cells allow
+            items = _render_rows(value, inner)
+        if items is None:
             items = [_render(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(items) + nl + "]"
     if kind is dict:

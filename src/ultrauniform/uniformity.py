@@ -16,6 +16,8 @@ these replace are kept in `oracle` as references.
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import and_, or_
 from typing import Iterable
 
 from .core import (
@@ -233,37 +235,27 @@ def intersection_closure(relations: Iterable[Relation]) -> tuple[Relation, ...]:
     if not relations:
         return ()
     carrier = same_carrier(*relations)
-    return tuple(Relation._trusted(carrier, rows) for rows in _closure_rows(relations))
+    closure = _closure(relations, repeat(0))
+    return tuple(Relation._trusted(carrier, rows) for rows in sorted(closure))
 
 
-def _closure_rows(relations: tuple[Relation, ...]) -> list[tuple[int, ...]]:
-    """The intersection closure as sorted row tuples, built one generator at a time.
+def _closure(relations: Iterable[Relation], flags: Iterable[int]) -> dict[tuple[int, ...], int]:
+    """The intersection closure as row tuples, each with the OR of its generators' flags.
 
     The closure of g_1..g_i is that of g_1..g_(i-1), each member intersected
-    with g_i, and g_i itself: a C-level intersection of rows per member.
-    Rows derived from checked rows stay in the carrier.
+    with g_i, and g_i itself, in C-level passes.  Two routes to one member
+    give it the same flags when each flag marks a property that an
+    intersection lacks iff some generator in it lacks it.
     """
-    closure: set[tuple[int, ...]] = set()
-    for g in relations:
+    closure: dict[tuple[int, ...], int] = {}
+    for g, f in zip(relations, flags):
         rows = g.rows
-        closure |= {tuple(map(int.__and__, c, rows)) for c in closure}
-        closure.add(rows)
-    return sorted(closure)
-
-
-def _failing_axiom(d_min: Relation) -> str | None:
-    """The first axiom a basis with intersection d_min fails, or None if valid.
-
-    Reflexivity holds for every stored entourage iff it holds for their
-    intersection.  Otherwise, by the monotonicity in `validate_diagonal`,
-    some closure member fails an axiom iff D_min, the first member, does;
-    so this is the axiom of that report's first violation.
-    """
-    if not d_min.is_reflexive():
-        return "reflexivity"
-    if is_equivalence(d_min):
-        return None
-    return "composition" if d_min.is_symmetric() else "symmetry"
+        closure.update(list(zip(  # listed first: the dict may not grow while it is read
+            map(tuple, map(map, repeat(and_), closure, repeat(rows))),
+            map(or_, closure.values(), repeat(f)),
+        )))
+        closure[rows] = f
+    return closure
 
 
 def validate_diagonal(b: DiagonalBasis) -> ValidationReport:
@@ -280,46 +272,45 @@ def validate_diagonal(b: DiagonalBasis) -> ValidationReport:
     - D_min <= E for each member E, and inverse and E o E are monotone, so
       inverse(D_min) <= inverse(E) and D_min o D_min <= E o E;
     - so some E serves D iff D_min does, and D_min is itself a member.
-    So the basis is valid iff D_min is an equivalence, which is decided in
-    O(k*n) word operations without the closure.  Only an invalid basis
-    builds the closure, as row tuples, testing each member's rows once per
-    axiom against inverse(D_min) and D_min o D_min; a failing member's
-    witness is rendered once, from per-row column lists kept for this report
-    alone.  The violations, their order and their witnesses are those of
-    the pairwise scan that `oracle.slow_validate_diagonal` keeps.
+    So the basis is valid iff D_min is an equivalence, decided on its
+    distinct rows.  Only an invalid basis builds the closure.  A member
+    contains inverse(D_min) (or D_min o D_min) iff each of its generators
+    does, so each member gets its generators' failing axioms as the
+    closure is built, and its witness is rendered once, from per-row column
+    lists.  The report is that of `oracle.slow_validate_diagonal`.
     """
     d_min = minimum_entourage(b)
-    if _failing_axiom(d_min) is None:
+    if is_equivalence(d_min):
         return ValidationReport()
-    violations = []
-    for d in b.entourages:
-        if not d.is_reflexive():
-            violations.append(("reflexivity", d.to_json()))
-    if violations:
-        return ValidationReport(violations)
+    if not d_min.is_reflexive():
+        return ValidationReport(
+            ("reflexivity", d.to_json()) for d in b.entourages if not d.is_reflexive()
+        )
     inv = inverse(d_min).rows
     square = compose(d_min, d_min).rows
+    flags = [  # bit 1: fails symmetry, bit 2: fails composition
+        (tuple(map(and_, inv, g.rows)) != inv) | (tuple(map(and_, square, g.rows)) != square) << 1
+        for g in b.entourages
+    ]
+    closure = _closure(b.entourages, flags)
+    violations = []
     cols: dict[int, tuple[int, ...]] = {}  # row mask -> its columns
-    for rows in _closure_rows(b.entourages):
-        asymmetric = tuple(map(int.__and__, inv, rows)) != inv
-        intransitive = tuple(map(int.__and__, square, rows)) != square
-        if asymmetric or intransitive:
-            cols.update({row: tuple(bits(row)) for row in set(rows).difference(cols)})
-            pairs = [[x, y] for x, row in enumerate(rows) for y in cols[row]]
-            witness = {"n": b.n, "pairs": pairs}
-            if asymmetric:
-                violations.append(("symmetry", witness))
-            if intransitive:
-                violations.append(("composition", witness))
+    for rows in sorted(rows for rows, f in closure.items() if f):
+        cols.update({row: tuple(bits(row)) for row in set(rows).difference(cols)})
+        witness = {"n": b.n, "pairs": [[x, y] for x, row in enumerate(rows) for y in cols[row]]}
+        if closure[rows] & 1:
+            violations.append(("symmetry", witness))
+        if closure[rows] & 2:
+            violations.append(("composition", witness))
     return ValidationReport(violations)
 
 
 def minimum_entourage(b: DiagonalBasis) -> Relation:
     """Intersection of all stored entourages (the filter minimum when valid)."""
-    acc = b.entourages[0]
+    rows = b.entourages[0].rows
     for e in b.entourages[1:]:
-        acc = acc & e
-    return acc
+        rows = tuple(map(and_, rows, e.rows))
+    return Relation._trusted(b.carrier, rows)
 
 
 def normalize(b: DiagonalBasis) -> DiagonalBasis:
@@ -327,12 +318,16 @@ def normalize(b: DiagonalBasis) -> DiagonalBasis:
 
     Validity is decided on D_min in O(k*n) word operations; no closure is
     built.  An invalid basis raises ValidationError naming the first
-    failing axiom; its `report`, the full `validate_diagonal(b)`, is built
-    when it is first read.
+    failing axiom, which is the first one D_min fails (D_min is reflexive
+    iff every stored entourage is, and the first member of the closure);
+    its `report`, the full `validate_diagonal(b)`, is built when first read.
     """
     d_min = minimum_entourage(b)
-    axiom = _failing_axiom(d_min)
-    if axiom is not None:
+    if not is_equivalence(d_min):
+        if not d_min.is_reflexive():
+            axiom = "reflexivity"
+        else:
+            axiom = "composition" if d_min.is_symmetric() else "symmetry"
         raise _refusal("diagonal basis", axiom, lambda: validate_diagonal(b))
     return DiagonalBasis(b.carrier, [d_min])
 

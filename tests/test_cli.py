@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from ultrauniform.cli import (
+    _STRUCTURE_VERBS,
     _VALIDATORS,
     _cmd_validate,
     congruence_relation,
@@ -20,7 +21,7 @@ from ultrauniform.cli import (
     padic_pseudometric,
     padic_valuation,
 )
-from ultrauniform.core import Carrier, Relation, eq_closure, is_equivalence
+from ultrauniform.core import Carrier, Relation, ValidationError, eq_closure, is_equivalence
 from ultrauniform.jsonio import _DETECTORS, dumps
 from ultrauniform.oracle import check_strong_triangle
 from ultrauniform.pseudometric import Pseudometric, PseudometricSystem, basis_from_system
@@ -351,6 +352,47 @@ class TestRefusalReport:
         assert main([*verb, "--in", basis]) == 2
         expected = {"error": f"invalid diagonal basis: {axiom}", "report": report}
         assert capsys.readouterr().out == dumps(expected)
+
+
+class TestInternalError:
+    """A fault of the program exits 3 with its type and message, never 1."""
+
+    @pytest.mark.parametrize(
+        "error, message",
+        [(RuntimeError("boom"), "RuntimeError: boom"), (MemoryError(), "MemoryError: ")],
+        ids=["RuntimeError", "MemoryError"],
+    )
+    def test_fault_in_a_verb(self, capsys, monkeypatch, error, message):
+        def verb(structure, args):
+            raise error
+
+        monkeypatch.setitem(_STRUCTURE_VERBS, "check-na", verb)
+        assert main(["check-na", "--in", BASIS_JSON]) == 3
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == {"error": f"internal error: {message}"}
+        assert captured.err.startswith("Traceback") and type(error).__name__ in captured.err
+
+    def test_fault_while_building_a_refusal_report(self, capsys, monkeypatch):
+        def report():
+            raise MemoryError("report too large")
+
+        def verb(structure, args):
+            raise ValidationError("invalid diagonal basis: symmetry", report=report)
+
+        monkeypatch.setitem(_STRUCTURE_VERBS, "check-na", verb)
+        code, obj = run(capsys, "check-na", "--in", BASIS_JSON)
+        assert code == 3
+        assert obj == {"error": "internal error: MemoryError: report too large"}
+
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, SystemExit])
+    def test_interrupt_and_exit_pass_through(self, capsys, monkeypatch, error):
+        def verb(structure, args):
+            raise error
+
+        monkeypatch.setitem(_STRUCTURE_VERBS, "check-na", verb)
+        with pytest.raises(error):
+            main(["check-na", "--in", BASIS_JSON])
+        assert capsys.readouterr().out == ""
 
 
 class TestMetrizeAndSystem:

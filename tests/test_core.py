@@ -25,6 +25,7 @@ from ultrauniform.oracle import (
     bell_number,
     enumerate_partitions,
     enumerate_relations,
+    random_equivalence,
     slow_eq_closure,
 )
 
@@ -79,6 +80,70 @@ class TestIsEquivalence:
 
     def test_full(self):
         assert is_equivalence(Relation.full(C3))
+
+
+def reflexive_by_pairs(r):
+    return all(r.rows[x] >> x & 1 for x in range(r.n))
+
+
+def equivalence_by_pairs(r):
+    """Reflexive, symmetric and transitive, checked pair by pair on the rows."""
+    rows, n = r.rows, r.n
+    related = [(x, y) for x in range(n) for y in range(n) if rows[x] >> y & 1]
+    return (
+        reflexive_by_pairs(r)
+        and all(rows[y] >> x & 1 for x, y in related)
+        and all(rows[y] & ~rows[x] == 0 for x, y in related)  # (x,y), (y,z) give (x,z)
+    )
+
+
+def perturbed_equivalences(rng, n):
+    """An equivalence on n points and relations a step away from it.
+
+    The steps copy or widen rows so that some rows repeat outside their
+    class, drop a diagonal bit, or permute singleton rows.
+    """
+    e = random_equivalence(rng, n).rows
+    classes = sorted(set(e))
+    out = [e]
+    x, w = rng.randrange(n), rng.randrange(n)
+    if len(classes) > 1:
+        a, b = rng.sample(classes, 2)
+        out.append([row | b if row == a else row for row in e])  # a's points also reach b
+        outside = [v for v in range(n) if not a >> v & 1]
+        v = rng.choice(outside)
+        out.append([a | 1 << v if u == v else row for u, row in enumerate(e)])  # a's row repeats at v
+        out.append([a if u == v else row for u, row in enumerate(e)])  # copied exactly, v left out
+        out.append([a | b if row in (a, b) else row for row in e])  # merged: still an equivalence
+    out.append([row & ~(1 << x) if u == x else row for u, row in enumerate(e)])
+    shift = rng.randrange(1, n) if n > 1 else 0
+    out.append([1 << (u + shift) % n for u in range(n)])
+    out.append([row | 1 << w for row in e])  # every row reaches w
+    out.append([rng.getrandbits(n) | 1 << u for u in range(n)])
+    return [Relation(Carrier(n), rows) for rows in out]
+
+
+class TestRowDecisions:
+    def test_every_relation_n3(self):
+        assert len(ALL_N3) == 512
+        for r in ALL_N3:
+            assert r.is_reflexive() == reflexive_by_pairs(r), r
+            assert is_equivalence(r) == equivalence_by_pairs(r), r
+        assert sum(map(is_equivalence, ALL_N3)) == 5
+
+    def test_seeded_relations_up_to_n64(self):
+        rng = random.Random(6403)
+        verdicts = {True: 0, False: 0}
+        reflexive_misses = 0
+        for _ in range(150):
+            n = rng.choice([1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 33, 63, 64])
+            for r in perturbed_equivalences(rng, n):
+                assert r.is_reflexive() == reflexive_by_pairs(r), r
+                expected = equivalence_by_pairs(r)
+                assert is_equivalence(r) == expected, r
+                verdicts[expected] += 1
+                reflexive_misses += not r.is_reflexive()
+        assert min(verdicts.values()) >= 200 and reflexive_misses >= 100, verdicts
 
 
 class TestEqClosure:

@@ -170,6 +170,32 @@ def test_dumps_matches_stdlib_on_mixed_int_and_bool_lists(payload):
     assert dumps(payload) == reference(payload)
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [[[0, 1], [2, 3]], [[0, 1], [2]], [[], []], [[], [0]], [[0, 1], (2, 3)], [[2**70, -1]],
+     [["0", "1/2"], ["1/2", "0"]], [["a"], []], [["a", 1], [2, "b"]], [[True, 1], [1, 1]],
+     [[[0, 1]], [[2]]], [[0, 1], [None, 1]]],
+    ids=["pairs", "unequal lengths", "empty rows", "empty and int rows", "list and tuple rows",
+         "big ints", "str rows", "str and empty rows", "mixed cells", "a bool cell",
+         "rows of lists", "a null cell"],
+)
+def test_dumps_matches_stdlib_on_rows(payload):
+    assert dumps(payload) == reference(payload)
+
+
+def test_dumps_matches_stdlib_on_seeded_rows():
+    rng = random.Random(1519)
+    for _ in range(300):
+        width = rng.randrange(4)
+        rows = [[rng.choice([0, 7, -3, 2**65]) for _ in range(width or rng.randrange(3))]
+                for _ in range(rng.randint(1, 6))]
+        if rng.random() < 0.3:
+            rows = [[str(cell) + "/2" for cell in row] for row in rows]
+        if rng.random() < 0.2:
+            rows[rng.randrange(len(rows))] = tuple(rows[0])
+        assert dumps(rows) == reference(rows)
+
+
 def random_payload(rng: random.Random, depth: int):
     kind = rng.randrange(9 if depth else 6)
     if kind == 0:
@@ -205,10 +231,12 @@ Text = type("Text", (str,), {})
         {"s": Text("sub")},
         [Text("sub")],
         ["a", Text("sub")],
+        [["a"], [Text("sub")]],
+        [[0, 1], [0.5, 1]],
         {"set": {1, 2}},
     ],
     ids=["float", "nested float", "int keys", "str subclass", "str subclass in a list",
-         "str subclass after a str", "set"],
+         "str subclass after a str", "str subclass in a row", "float in a row", "set"],
 )
 def test_dumps_refuses_values_outside_the_library_shapes(payload):
     with pytest.raises(TypeError):

@@ -2,6 +2,7 @@
 
 import random
 import time
+from functools import reduce
 from itertools import combinations
 
 import pytest
@@ -112,6 +113,21 @@ def widened_two_block_basis(rng, n, k):
         rows[x] |= 1 << y
         members.append(Relation(eqs.carrier, rows))
     return DiagonalBasis(eqs.carrier, members)
+
+
+class TestMinimumEntourage:
+    def test_equals_intersection_of_relations(self):
+        rng = random.Random(6417)
+        for _ in range(300):
+            n = rng.choice([1, 2, 3, 5, 8, 16, 33, 64])
+            carrier = Carrier(n)
+            b = DiagonalBasis(carrier, [
+                Relation(carrier, [rng.getrandbits(n) | rng.getrandbits(n) for _ in range(n)])
+                for _ in range(rng.randint(1, 8))
+            ])
+            d_min = minimum_entourage(b)
+            assert d_min == reduce(Relation.__and__, b.entourages)
+            assert d_min.carrier == carrier and type(d_min.rows) is tuple
 
 
 class TestValidateDiagonal:
@@ -506,6 +522,37 @@ def random_diagonal_basis(rng, n, k):
     return DiagonalBasis(carrier, [Relation(carrier, rows) for rows in members])
 
 
+def split_generator_basis(rng, n, k):
+    """An invalid basis in which only some generators miss inverse(D_min) or D_min o D_min.
+
+    D = E + (x, y) for an equivalence E and a pair outside it.  The first
+    generator is D, so D_min = D; each other one is D with sparse extra
+    pairs other than (y, x), and gets inverse(D) and D o D each with
+    probability 1/2, in which case it passes that axiom.  So the closure
+    holds passing members, and failing ones reached from passing parents
+    and from passing generators.
+    """
+    carrier = Carrier(n)
+    e = random_equivalence(rng, n)
+    while e == Relation.full(carrier):
+        e = random_equivalence(rng, n)
+    x, y = rng.choice([(x, y) for x in range(n) for y in range(n) if not e.has(x, y)])
+    d = e | Relation.from_pairs(carrier, [(x, y)])
+    not_yx = carrier.full_mask & ~(1 << x)
+    members = [d]
+    for _ in range(k - 1):
+        g = d | Relation(carrier, [
+            rng.getrandbits(n) & rng.getrandbits(n) & (not_yx if u == y else carrier.full_mask)
+            for u in range(n)
+        ])
+        if rng.random() < 0.5:
+            g = g | inverse(d)
+        if rng.random() < 0.5:
+            g = g | compose(d, d)
+        members.append(g)
+    return DiagonalBasis(carrier, members)
+
+
 def random_any_cover_basis(rng, n):
     carrier = Carrier(n)
     full = carrier.full_mask
@@ -539,6 +586,23 @@ class TestPrincipalGeneratorAgainstOracle:
             kind = "valid" if report.valid else report.violations[0][0]
             kinds["invalid" if kind in ("symmetry", "composition") else kind] += 1
         assert min(kinds.values()) >= 100, kinds
+
+    def test_reports_where_only_some_generators_fail(self):
+        # each member fails exactly the axioms its generators fail, so a
+        # member of passing generators passes and one with a failing
+        # generator fails, wherever that generator comes in the build order
+        rng = random.Random(20261019)
+        mixed = {"symmetry": 0, "composition": 0}
+        for _ in range(400):
+            n = rng.randint(2, 9)
+            b = split_generator_basis(rng, n, rng.randint(2, 6))
+            report = check_validation_against_oracle(b)
+            assert not report.valid
+            members = len(intersection_closure(b.entourages))
+            for axiom in mixed:
+                failing = sum(a == axiom for a, _ in report.violations)
+                mixed[axiom] += 0 < failing < members
+        assert min(mixed.values()) >= 50, mixed
 
     def test_cover_bases_of_one_or_two_covers_n_up_to_3(self):
         checked = valid = 0
