@@ -180,9 +180,7 @@ class Relation:
         return compose(self, self).issubset(self)
 
     def to_json(self) -> dict:
-        rows = self.rows
-        cols = {row: tuple(bits(row)) for row in set(rows)}
-        return {"n": self.n, "pairs": [[x, y] for x, row in enumerate(rows) for y in cols[row]]}
+        return _relation_json(self.n, self.rows, {})
 
     @classmethod
     def from_json(cls, obj: dict) -> "Relation":
@@ -212,6 +210,12 @@ class Relation:
 
     def __repr__(self) -> str:
         return f"Relation({self.n}, {sorted(self.pairs())})"
+
+
+def _relation_json(n: int, rows: tuple[int, ...], cols: dict[int, tuple[int, ...]]) -> dict:
+    """A relation's JSON; `cols` (row mask -> columns) is filled as needed and may be shared."""
+    cols.update({row: tuple(bits(row)) for row in set(rows).difference(cols)})
+    return {"n": n, "pairs": [[x, y] for x, row in enumerate(rows) for y in cols[row]]}
 
 
 def compose(r: Relation, s: Relation) -> Relation:
@@ -251,11 +255,7 @@ def is_equivalence(r: Relation) -> bool:
 
 
 def eq_closure(r: Relation) -> Relation:
-    """Least equivalence relation containing r: each row merges the classes it meets.
-
-    The classes stay disjoint, so one pass over them finds every class that
-    {x} and R[x] meet.
-    """
+    """Least equivalence containing r: {x} | R[x] merges every class it meets, in one pass."""
     classes: list[int] = []
     for x, row in enumerate(r.rows):
         merged = row | 1 << x

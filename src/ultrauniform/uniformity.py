@@ -26,6 +26,7 @@ from .core import (
     Partition,
     Relation,
     ValidationError,
+    _relation_json,
     bits,
     compose,
     inverse,
@@ -294,10 +295,9 @@ def validate_diagonal(b: DiagonalBasis) -> ValidationReport:
     ]
     closure = _closure(b.entourages, flags)
     violations = []
-    cols: dict[int, tuple[int, ...]] = {}  # row mask -> its columns
+    cols: dict[int, tuple[int, ...]] = {}  # row mask -> its columns, shared by the witnesses
     for rows in sorted(rows for rows, f in closure.items() if f):
-        cols.update({row: tuple(bits(row)) for row in set(rows).difference(cols)})
-        witness = {"n": b.n, "pairs": [[x, y] for x, row in enumerate(rows) for y in cols[row]]}
+        witness = _relation_json(b.n, rows, cols)
         if closure[rows] & 1:
             violations.append(("symmetry", witness))
         if closure[rows] & 2:
@@ -324,10 +324,8 @@ def normalize(b: DiagonalBasis) -> DiagonalBasis:
     """
     d_min = minimum_entourage(b)
     if not is_equivalence(d_min):
-        if not d_min.is_reflexive():
-            axiom = "reflexivity"
-        else:
-            axiom = "composition" if d_min.is_symmetric() else "symmetry"
+        axiom = ("reflexivity" if not d_min.is_reflexive()
+                 else "composition" if d_min.is_symmetric() else "symmetry")
         raise _refusal("diagonal basis", axiom, lambda: validate_diagonal(b))
     return DiagonalBasis(b.carrier, [d_min])
 
