@@ -99,14 +99,6 @@ def _read_input(raw: str) -> dict:
         raise ValueError("JSON input nests too deeply") from None
 
 
-def _emit(payload, out_path) -> None:
-    text = dumps(payload)
-    sys.stdout.write(text)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
 # the validator of each type that jsonio detects, keyed on the type's module
 # and name and found in that module; None where the type enforces its
 # invariants at construction
@@ -311,7 +303,7 @@ def main(argv=None) -> int:
         import traceback
 
         traceback.print_exc()  # to stderr; stdout keeps one JSON document
-        _emit({"error": f"internal error: {type(exc).__name__}: {exc}"}, None)
+        sys.stdout.write(dumps({"error": f"internal error: {type(exc).__name__}: {exc}"}))
         return EXIT_INTERNAL
 
 
@@ -326,16 +318,20 @@ def _run(args) -> int:
             structure = structure_from_json(obj)
             code, payload = _STRUCTURE_VERBS[args.verb](structure, args)
     except json.JSONDecodeError as exc:
-        _emit({"error": f"malformed JSON: {exc}"}, getattr(args, "out", None))
-        return EXIT_INPUT
+        code, payload = EXIT_INPUT, {"error": f"malformed JSON: {exc}"}
     except (ValueError, OSError) as exc:  # core's ValidationError and CarrierMismatch included
-        payload = {"error": str(exc)}
+        code, payload = EXIT_INPUT, {"error": str(exc)}
         report = getattr(exc, "report", None)  # a ValidationError's, when it has one
         if report is not None:
             payload["report"] = report.to_json()
-        _emit(payload, getattr(args, "out", None))
-        return EXIT_INPUT
-    _emit(payload, args.out)
+    text = dumps(payload)
+    if args.out:  # written first, so that an unwritable --out prints only its own error
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            code, text = EXIT_INPUT, dumps({"error": str(exc)})
+    sys.stdout.write(text)
     return code
 
 

@@ -254,25 +254,6 @@ def is_equivalence(r: Relation) -> bool:
     return r.is_reflexive() and sum(map(int.bit_count, set(r.rows))) == len(r.rows)
 
 
-def eq_closure(r: Relation) -> Relation:
-    """Least equivalence containing r: {x} | R[x] merges every class it meets, in one pass."""
-    classes: list[int] = []
-    for x, row in enumerate(r.rows):
-        merged = row | 1 << x
-        rest = []
-        for c in classes:
-            if c & merged:
-                merged |= c
-            else:
-                rest.append(c)
-        classes = rest + [merged]
-    rows = [0] * r.n
-    for c in classes:
-        for x in bits(c):
-            rows[x] = c
-    return Relation._trusted(r.carrier, tuple(rows))
-
-
 class Partition:
     """Disjoint nonempty blocks covering the carrier, in canonical order.
 
@@ -344,16 +325,6 @@ def to_partition(e: Relation) -> Partition:
     if not is_equivalence(e):
         raise ValidationError("relation is not an equivalence relation")
     return Partition(e.carrier, map(bits, set(e.rows)))
-
-
-def to_relation(p: Partition) -> Relation:
-    return p.to_relation()
-
-
-def meet(p: Partition, q: Partition) -> Partition:
-    """Common refinement: the coarsest partition refining both."""
-    same_carrier(p, q)
-    return to_partition(p.to_relation() & q.to_relation())
 
 
 def refines(fine, coarse) -> bool:

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
+from operator import or_
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .core import (
@@ -25,7 +27,6 @@ from .core import (
     Relation,
     bits,
     compose,
-    eq_closure,
     inverse,
     is_equivalence,
     refines,
@@ -58,7 +59,6 @@ from .uniformity import (
     has_partition_basis,
     is_non_archimedean,
     relation_from_cover,
-    star_refines,
     uniformity_equal,
     validate_cover,
     validate_diagonal,
@@ -380,6 +380,25 @@ def slow_eq_closure(r: Relation) -> Relation:
     return Relation.from_pairs(r.carrier, pairs)
 
 
+def eq_closure(r: Relation) -> Relation:
+    """Least equivalence containing r: {x} | R[x] merges every class it meets, in one pass."""
+    classes: list[int] = []
+    for x, row in enumerate(r.rows):
+        merged = row | 1 << x
+        rest = []
+        for c in classes:
+            if c & merged:
+                merged |= c
+            else:
+                rest.append(c)
+        classes = rest + [merged]
+    rows = [0] * r.n
+    for c in classes:
+        for x in bits(c):
+            rows[x] = c
+    return Relation._trusted(r.carrier, tuple(rows))
+
+
 def slow_ball_relation(d: Pseudometric, eps: Fraction) -> Relation:
     """The strict ball relation {(x,y) | d(x,y) < eps}, one comparison per cell."""
     # d(x,y) < eps  iff  grid[x][y] * eps.den < eps.num * scale
@@ -518,6 +537,12 @@ def slow_finest_refinement(cb: CoverBasis) -> Cover:
         if closed == fam:
             return Cover(cb.carrier, fam)
         fam = closed
+
+
+def star_refines(fine: Cover, coarse: Cover) -> bool:
+    """True iff each set's star in `fine` (the union of the sets it meets) lies in a set of `coarse`."""
+    stars = (reduce(or_, (s for s in fine.sets if s & f)) for f in fine.sets)
+    return all(any(star & ~c == 0 for c in coarse.sets) for star in stars)
 
 
 def slow_validate_cover(cb: CoverBasis) -> ValidationReport:

@@ -9,13 +9,16 @@ intersection closure is never built for a valid basis.  Only the report
 of an invalid basis walks the closure, to name every failing member; a
 refusal raised by a decision builds that report when it is first read.
 Dually, a CoverBasis generates a covering uniformity through common
-refinements of its covers, whose meet F refines every member; for a
-valid basis F's co-residence is an equivalence.  The per-member searches
-these replace are kept in `oracle` as references.
+refinements of its covers, whose meet F refines every member.  Its
+decisions run on R_F, the AND of the covers' co-residence relations, which
+is F's co-residence and, for a valid basis, an equivalence; only the
+report of a basis whose R_F is not transitive builds F.  The per-member
+searches these replace are kept in `oracle` as references.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import repeat
 from operator import and_, or_
 from typing import Iterable
@@ -358,7 +361,7 @@ def relation_from_cover(u: Cover) -> Relation:
     for m in u.sets:
         for x in bits(m):
             rows[x] |= m
-    return Relation(u.carrier, rows)
+    return Relation._trusted(u.carrier, tuple(rows))
 
 
 def cover_basis_from_diagonal(b: DiagonalBasis) -> CoverBasis:
@@ -367,87 +370,73 @@ def cover_basis_from_diagonal(b: DiagonalBasis) -> CoverBasis:
 
 
 def diagonal_from_cover_basis(cb: CoverBasis) -> DiagonalBasis:
-    """The co-residence relation of the finest common refinement F.
+    """The singleton {R_F}; requires a valid basis, for which R_F is an equivalence."""
+    return DiagonalBasis(cb.carrier, [_valid_coresidence(cb)])
 
-    F refines every cover the basis generates, so its relation lies inside
-    every entourage the covers give; for a valid basis it is an equivalence.
+
+def _cover_verdict(cb: CoverBasis) -> tuple[Relation, ValidationReport]:
+    """R_F, the AND of the covers' co-residence relations, and the basis's report.
+
+    Points lie together in a set of F, the meet of the covers, iff they lie
+    together in a set of every cover, so R_F is F's co-residence and the
+    star of a set f of F is the OR of R_F[x] over x in f.
     """
-    validate_cover(cb).require("cover basis")
-    return DiagonalBasis(cb.carrier, [relation_from_cover(finest_common_refinement(cb))])
-
-
-def _star_mask(m: int, sets: tuple[int, ...]) -> int:
-    acc = 0
-    for s in sets:
-        if s & m:
-            acc |= s
-    return acc
-
-
-def finest_common_refinement(cb: CoverBasis) -> Cover:
-    """The meet of the covers: the nonempty intersections of one set from each.
-
-    Every member of the generated covering uniformity is refined by this
-    cover, which makes it a universal witness for refinement and
-    star-refinement searches (both are monotone under refinement).
-    """
-    fam = set(cb.covers[0].sets)
+    rows = relation_from_cover(cb.covers[0]).rows
     for c in cb.covers[1:]:
-        fam = {x & y for x in fam for y in c.sets} - {0}
-    return Cover(cb.carrier, fam)
-
-
-def star_refines(fine: Cover, coarse: Cover) -> bool:
-    """True iff the stars of `fine` around its own sets refine `coarse`."""
-    same_carrier(fine, coarse)
-    for f in fine.sets:
-        st = _star_mask(f, fine.sets)
-        if not any(st & ~c == 0 for c in coarse.sets):
-            return False
-    return True
+        rows = tuple(map(and_, rows, relation_from_cover(c).rows))
+    r_f = Relation._trusted(cb.carrier, rows)
+    if is_equivalence(r_f):
+        stars = set(rows)  # each set of F lies in a class, and each class is a set of F
+    else:  # build F, the nonempty intersections of one set from each cover
+        meet = set(cb.covers[0].sets)
+        for c in cb.covers[1:]:
+            meet = {x & y for x in meet for y in c.sets} - {0}
+        stars = {reduce(or_, map(rows.__getitem__, bits(f))) for f in meet}
+    return r_f, ValidationReport(
+        ("star_refinement", u.sets_as_lists())
+        for u in cb.covers if not all(any(st & ~s == 0 for s in u.sets) for st in stars)
+    )
 
 
 def validate_cover(cb: CoverBasis) -> ValidationReport:
-    """Check the covering uniformity basis axiom.
+    """Check the covering uniformity basis axiom, decided on R_F.
 
     Each stored cover must be star-refined by some cover the basis
-    generates; by monotonicity it suffices to test the finest common
-    refinement.
+    generates; by monotonicity it suffices to test F.  When R_F is an
+    equivalence the star of each set of F is its class, so a cover fails
+    exactly when some class lies inside none of its sets, and F is never
+    built; only when R_F is not transitive is F built, to name the failing
+    covers.  The report is that of `oracle.slow_validate_cover`.
     """
-    fin = finest_common_refinement(cb)
-    violations = []
-    for u in cb.covers:
-        if not star_refines(fin, u):
-            violations.append(("star_refinement", u.sets_as_lists()))
-    return ValidationReport(violations)
+    return _cover_verdict(cb)[1]
+
+
+def _valid_coresidence(cb: CoverBasis) -> Relation:
+    """R_F of a valid basis; an invalid basis raises ValidationError with its report."""
+    r_f, report = _cover_verdict(cb)
+    report.require("cover basis")
+    return r_f
 
 
 def covering_member(cb: CoverBasis, u: Cover) -> bool:
-    """True iff u belongs to the covering uniformity generated by cb."""
+    """True iff u belongs to the covering uniformity of a valid cb: R_F's classes refine u."""
     same_carrier(cb, u)
-    return refines(finest_common_refinement(cb), u)
+    return refines(cover_from_relation(_valid_coresidence(cb)), u)
 
 
 def covering_uniformity_equal(cb1: CoverBasis, cb2: CoverBasis) -> bool:
-    """Mutual refinement of the generated covering uniformities."""
+    """True iff both valid bases generate the same covering uniformity: equal R_F."""
     if cb1.carrier != cb2.carrier:
         raise CarrierMismatch("cover bases on different carriers")
-    validate_cover(cb1).require("cover basis")
-    validate_cover(cb2).require("cover basis")
-    fin1 = finest_common_refinement(cb1)
-    fin2 = finest_common_refinement(cb2)
-    return all(refines(fin1, u) for u in cb2.covers) and all(
-        refines(fin2, u) for u in cb1.covers
-    )
+    return _valid_coresidence(cb1) == _valid_coresidence(cb2)
 
 
 def has_partition_basis(cb: CoverBasis) -> tuple[bool, CoverBasis]:
     """Decide whether the generated covering uniformity has a partition basis.
 
-    Every valid basis has one: F star-refines each stored cover, so the
-    co-residence of F is an equivalence, and the partition into its classes
-    is refined by F and refines every stored cover.  An invalid basis
-    raises ValidationError.
+    Every valid basis has one: R_F is then an equivalence, and the one
+    partition cover of its classes generates the same covering uniformity.
+    An invalid basis raises ValidationError.
     """
     return True, cover_basis_from_diagonal(diagonal_from_cover_basis(cb))
 

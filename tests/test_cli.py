@@ -4,6 +4,7 @@ import importlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -21,9 +22,9 @@ from ultrauniform.cli import (
     padic_pseudometric,
     padic_valuation,
 )
-from ultrauniform.core import Carrier, Relation, ValidationError, eq_closure, is_equivalence
+from ultrauniform.core import Carrier, Relation, ValidationError, is_equivalence
 from ultrauniform.jsonio import _DETECTORS, dumps
-from ultrauniform.oracle import check_strong_triangle
+from ultrauniform.oracle import check_strong_triangle, eq_closure
 from ultrauniform.pseudometric import Pseudometric, PseudometricSystem, basis_from_system
 from ultrauniform.topology import sierpinski_topology
 from ultrauniform.uniformity import DiagonalBasis, uniformity_equal
@@ -303,6 +304,18 @@ class TestConvertAndRoundtrip:
         assert uniformity_equal(
             DiagonalBasis.from_json(back), DiagonalBasis(C3, [E01])
         )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["gen", "ideal-chain", "--modulus", "4", "--depth", "1"], ["validate", "--in", "{"]],
+        ids=["result", "error"],
+    )
+    def test_unwritable_out_exits_two_with_one_document(self, capsys, tmp_path, argv):
+        where = tmp_path / "missing" / "x.json"
+        assert main([*argv, "--out", str(where)]) == 2
+        out = capsys.readouterr().out
+        assert json.loads(out) == {"error": f"[Errno 2] No such file or directory: {str(where)!r}"}
+        assert not where.exists()
 
     def test_convert_wrong_direction(self, capsys):
         code, obj = run(capsys, "convert", "--in", BASIS_JSON, "--to", "diagonal")
@@ -656,6 +669,73 @@ class TestDeterminism:
         assert main(argv) == 0
         second = capsys.readouterr().out
         assert first == second
+
+
+def relabelled_cover(cover, pi):
+    return tuple(sorted(tuple(sorted(pi[x] for x in s)) for s in cover))
+
+
+def relabelled_payload(payload, pi):
+    """A cover verb's payload with each point x renamed pi[x], in canonical order.
+
+    The entourages are sorted as the JSON format sorts them, and the
+    failing covers of a report are a set.
+    """
+    out = dict(payload)
+    if "report" in out:
+        out["report"] = relabelled_payload(out["report"], pi)
+    if "violations" in out:
+        out["violations"] = {(v["axiom"], relabelled_cover(v["witness"], pi)) for v in out["violations"]}
+    if "entourages" in out:
+        out["entourages"] = sorted(sorted([pi[x], pi[y]] for x, y in e["pairs"]) for e in out["entourages"])
+    return out
+
+
+class TestCoverRelabelling:
+    """The cover verbs commute with renaming the points, shuffling and duplicating covers."""
+
+    @staticmethod
+    def cover_bases(rng):
+        from ultrauniform.oracle import random_cover_basis, random_partition
+
+        for i in range(150):
+            n = rng.randint(2, 7)
+            if i % 3 == 0:
+                yield random_cover_basis(rng, n).to_json()["covers"]
+            elif i % 3 == 1:  # a partition, and a cover of each block B by B - {a}, B - {b}, B - {c}
+                blocks = [list(b) for b in random_partition(rng, n).blocks]
+                triangles = [
+                    [x for x in b if x != y] for b in blocks if len(b) > 2 for y in rng.sample(b, 3)
+                ]
+                yield [blocks, triangles + [b for b in blocks if len(b) < 3]]  # invalid iff len(b) > 2
+            else:  # random sets plus the rest of the carrier: mostly invalid
+                full = (1 << n) - 1
+                covers = []
+                for _ in range(rng.randint(1, 3)):
+                    sets = [rng.randint(1, full) for _ in range(rng.randint(1, n))]
+                    sets.append(full & ~sets[0] or full)
+                    covers.append([[x for x in range(n) if m >> x & 1] for m in sets])
+                yield covers
+
+    def test_validate_convert_roundtrip_commute_with_relabelling(self, capsys):
+        rng = random.Random(20261022)
+        verbs = (["validate"], ["convert", "--to", "diagonal"], ["roundtrip"])
+        codes = {0: 0, 1: 0, 2: 0}
+        for covers in self.cover_bases(rng):
+            n = 1 + max(x for c in covers for s in c for x in s)
+            pi = rng.sample(range(n), n)
+            moved = [[[pi[x] for x in s] for s in c] for c in covers for _ in range(rng.randint(1, 2))]
+            rng.shuffle(moved)
+            for verb in verbs:
+                outputs = []
+                for basis in (covers, moved):
+                    code = main([*verb, "--in", json.dumps({"n": n, "covers": basis})])
+                    outputs.append((code, json.loads(capsys.readouterr().out)))
+                (code, out), (moved_code, moved_out) = outputs
+                assert moved_code == code, (verb, covers, pi)
+                assert relabelled_payload(moved_out, range(n)) == relabelled_payload(out, pi)
+                codes[code] += 1
+        assert min(codes.values()) >= 20, codes
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")

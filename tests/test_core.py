@@ -13,21 +13,20 @@ from ultrauniform.core import (
     Relation,
     ValidationError,
     compose,
-    eq_closure,
     inverse,
     is_equivalence,
-    meet,
     refines,
     to_partition,
-    to_relation,
 )
 from ultrauniform.oracle import (
     bell_number,
     enumerate_partitions,
     enumerate_relations,
+    eq_closure,
     random_equivalence,
     slow_eq_closure,
 )
+from ultrauniform.uniformity import Cover, CoverBasis, has_partition_basis
 
 C3 = Carrier(3)
 ALL_N3 = list(enumerate_relations(3))
@@ -212,17 +211,17 @@ class TestPartitionConversions:
     def test_identity_singletons(self):
         p = to_partition(Relation.identity(C3))
         assert p.blocks == ((0,), (1,), (2,))
-        assert to_relation(p) == Relation.identity(C3)
+        assert p.to_relation() == Relation.identity(C3)
 
     def test_round_trip_all_partitions_of_four(self):
         partitions = list(enumerate_partitions(4))
         assert len(partitions) == bell_number(4) == 15
         for p in partitions:
-            assert to_partition(to_relation(p)) == p
+            assert to_partition(p.to_relation()) == p
         equivalences = {p.to_relation() for p in partitions}
         assert len(equivalences) == 15
         for e in equivalences:
-            assert to_relation(to_partition(e)) == e
+            assert to_partition(e).to_relation() == e
 
     def test_rejects_non_equivalence(self):
         with pytest.raises(ValidationError):
@@ -245,6 +244,12 @@ class TestPartitionInvariants:
     def test_rejects_empty_block(self):
         with pytest.raises(ValueError):
             Partition(C3, [[0, 1, 2], []])
+
+
+def meet(p, q):
+    """The partition meet, read as the one partition basis of the cover basis {p, q}."""
+    _, parts = has_partition_basis(CoverBasis(p.carrier, map(Cover.from_partition, (p, q))))
+    return parts.covers[0].to_partition()
 
 
 class TestMeet:

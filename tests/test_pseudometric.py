@@ -16,7 +16,6 @@ from ultrauniform.core import (
     CarrierMismatch,
     Relation,
     ValidationError,
-    eq_closure,
     is_equivalence,
 )
 from ultrauniform.jsonio import dumps
@@ -24,6 +23,7 @@ from ultrauniform.oracle import (
     check_pseudometric,
     check_strong_triangle,
     enumerate_relations,
+    eq_closure,
     random_equivalence,
     random_ultrametric,
     slow_ball_relation,

@@ -2,12 +2,13 @@
 
 import pytest
 
-from ultrauniform.core import Carrier, Relation, ValidationError, eq_closure
+from ultrauniform.core import Carrier, Relation, ValidationError
 from ultrauniform.oracle import (
     bell_number,
     enumerate_equivalence_bases,
     enumerate_partitions,
     enumerate_topologies,
+    eq_closure,
 )
 from ultrauniform.topology import (
     BinaryMap,

@@ -14,7 +14,6 @@ from ultrauniform.core import (
     Relation,
     ValidationError,
     compose,
-    eq_closure,
     inverse,
     is_equivalence,
     refines,
@@ -28,9 +27,11 @@ from ultrauniform.oracle import (
     enumerate_relations,
     enumerate_uniformities,
     enumerate_valid_cover_bases,
+    eq_closure,
     random_cover_basis,
     random_equivalence,
     random_equivalence_basis,
+    random_partition,
     random_valid_basis,
     search_na_witness,
     search_partition_basis,
@@ -38,6 +39,7 @@ from ultrauniform.oracle import (
     slow_intersection_closure,
     slow_validate_cover,
     slow_validate_diagonal,
+    star_refines,
 )
 from ultrauniform.pseudometric import basis_from_system, system_from_na_basis
 from ultrauniform.uniformity import (
@@ -47,17 +49,16 @@ from ultrauniform.uniformity import (
     cover_basis_from_diagonal,
     cover_from_relation,
     cover_roundtrip,
+    covering_member,
     covering_uniformity_equal,
     diagonal_from_cover_basis,
     diagonal_roundtrip,
-    finest_common_refinement,
     has_partition_basis,
     intersection_closure,
     is_non_archimedean,
     minimum_entourage,
     normalize,
     relation_from_cover,
-    star_refines,
     uniformity_equal,
     validate_cover,
     validate_diagonal,
@@ -396,7 +397,7 @@ class TestStarAndValidateCover:
         u = Cover(C3, [[0, 1], [1, 2]])
         cb = CoverBasis(C3, [u])
         # direct check: the only candidate star-refinements all fail
-        fin = finest_common_refinement(cb)
+        fin = slow_finest_refinement(cb)
         assert not star_refines(u, u)
         assert not star_refines(fin, u)
         report = validate_cover(cb)
@@ -470,25 +471,47 @@ def check_diagonal_against_oracle(b):
     return True
 
 
-def check_cover_against_oracle(cb):
-    """The decisions on the meet F against the fixpoint and per-cover searches."""
-    assert validate_cover(cb).to_json() == slow_validate_cover(cb).to_json()
-    fin, closed = finest_common_refinement(cb), slow_finest_refinement(cb)
-    assert relation_from_cover(fin) == relation_from_cover(closed)
-    assert refines(fin, closed) and refines(closed, fin)
-    try:
-        found, reference = search_partition_basis(cb)
-    except ValidationError:
-        for decide in (has_partition_basis, diagonal_from_cover_basis):
-            with pytest.raises(ValidationError):
+COVER_DECIDERS = (
+    has_partition_basis,
+    diagonal_from_cover_basis,
+    lambda cb: covering_member(cb, cb.covers[0]),
+    lambda cb: covering_uniformity_equal(cb, cb),
+    cover_roundtrip,
+)
+
+
+def check_cover_against_oracle(cb, members=(), other=None):
+    """The R_F decisions against the slow meet and the per-cover searches; True iff cb is valid.
+
+    The report must match the oracle's byte for byte, and an invalid basis
+    must be refused by every decider with the oracle's report.  A valid one
+    is checked for membership of each of `members` and, when `other` is a
+    valid basis on the same carrier, for equality with it.
+    """
+    slow = slow_validate_cover(cb)
+    assert dumps(validate_cover(cb).to_json()) == dumps(slow.to_json()), cb.to_json()
+    if not slow.valid:
+        for decide in COVER_DECIDERS:
+            with pytest.raises(ValidationError) as refused:
                 decide(cb)
+            assert str(refused.value) == "invalid cover basis: star_refinement"
+            assert dumps(refused.value.report.to_json()) == dumps(slow.to_json())
         return False
+    closed = slow_finest_refinement(cb)
+    b = diagonal_from_cover_basis(cb)
+    assert b == DiagonalBasis(cb.carrier, [relation_from_cover(closed)])
+    assert all(is_equivalence(e) for e in b.entourages)
+    for u in members:
+        assert covering_member(cb, u) == refines(closed, u), (cb.to_json(), u)
+    if other is not None:
+        other_closed = slow_finest_refinement(other)
+        mutual = refines(closed, other_closed) and refines(other_closed, closed)
+        assert covering_uniformity_equal(cb, other) == mutual
+    found, reference = search_partition_basis(cb)
     ok, parts = has_partition_basis(cb)
     assert ok and found
     assert all(c.is_partition for c in parts.covers)
     assert covering_uniformity_equal(parts, cb) and covering_uniformity_equal(parts, reference)
-    b = diagonal_from_cover_basis(cb)
-    assert all(is_equivalence(e) for e in b.entourages)
     coresidence = {relation_from_cover(u) for u in cb.covers} | {relation_from_cover(closed)}
     assert uniformity_equal(b, DiagonalBasis(cb.carrier, coresidence))
     return True
@@ -605,15 +628,77 @@ class TestPrincipalGeneratorAgainstOracle:
         assert min(mixed.values()) >= 50, mixed
 
     def test_cover_bases_of_one_or_two_covers_n_up_to_3(self):
-        checked = valid = 0
+        # each valid basis of one cover is asked about every cover, and one of
+        # two covers about every twelfth, so that every cover is asked about
+        # across the bases; each is compared with an earlier valid basis
+        rng = random.Random(20261020)
+        checked = valid = equal = 0
         for n in (1, 2, 3):
             carrier = Carrier(n)
             covers = list(enumerate_covers(n))
+            seen = []
             for size in (1, 2):
                 for combo in combinations(covers, size):
+                    cb = CoverBasis(carrier, combo)
+                    members = covers if size == 1 else covers[checked % 12::12]
+                    other = rng.choice(seen) if seen else None
                     checked += 1
-                    valid += check_cover_against_oracle(CoverBasis(carrier, combo))
-        assert 0 < valid < checked
+                    if check_cover_against_oracle(cb, members, other):
+                        valid += 1
+                        equal += other is not None and covering_uniformity_equal(cb, other)
+                        seen.append(cb)
+        assert 0 < valid < checked and 0 < equal < valid
+
+    def test_cover_reports_on_seeded_bases_up_to_n8(self):
+        rng = random.Random(20261021)
+        kinds = {"valid": 0, "classes": 0, "not transitive": 0}
+        for i in range(3000):
+            n = rng.randint(1, 8)
+            cb = (random_cover_basis if i % 2 else random_any_cover_basis)(rng, n)
+            covers = [c for v in cb.covers for c in (v, v, v)[:rng.randint(1, 3)]]
+            rng.shuffle(covers)  # shuffled and duplicated covers are the same basis
+            shuffled = CoverBasis(cb.carrier, covers)
+            assert shuffled == cb
+            members = [Cover.from_partition(random_partition(rng, n)) for _ in range(2)]
+            valid = check_cover_against_oracle(shuffled, members, random_cover_basis(rng, n))
+            r_f = reduce(Relation.__and__, map(relation_from_cover, cb.covers))
+            kinds["valid" if valid else "classes" if is_equivalence(r_f) else "not transitive"] += 1
+        assert min(kinds.values()) >= 40, kinds
+
+    def test_both_invalid_shapes(self):
+        # R_F full, an equivalence whose one class lies in no set of the cover
+        triangle = CoverBasis(C3, [Cover(C3, [[0, 1], [1, 2], [0, 2]])])
+        # R_F relates 0 to 1 and 1 to 2 but not 0 to 2, so it is not transitive
+        chain = CoverBasis(C3, [Cover(C3, [[0, 1], [1, 2]])])
+        for cb, r_f in ((triangle, FULL3), (chain, PSEUDO)):
+            assert reduce(Relation.__and__, map(relation_from_cover, cb.covers)) == r_f
+            assert not check_cover_against_oracle(cb)
+            assert validate_cover(cb).violations == (("star_refinement", cb.covers[0].sets_as_lists()),)
+
+    def test_exponential_meet_decided_within_budget(self, capsys):
+        # covers {X, X - {i}} for i < 20 on 21 points: the meet has 2**20
+        # sets, and R_F is the full relation, so the basis is valid
+        from ultrauniform.cli import main
+
+        k = 20
+        carrier = Carrier(k + 1)
+        full = carrier.full_mask
+        cb = CoverBasis(carrier, [Cover(carrier, [full, full & ~(1 << i)]) for i in range(k)])
+        text = dumps(cb.to_json())
+        inside, outside = Cover(carrier, [full]), Cover(carrier, [full & ~1, full & ~2])
+        started = time.perf_counter()
+        report = validate_cover(cb)
+        code = main(["convert", "--to", "diagonal", "--in", text])
+        members = covering_member(cb, inside), covering_member(cb, outside)
+        elapsed = time.perf_counter() - started
+        assert report.valid and code == 0 and members == (True, False)
+        assert capsys.readouterr().out == dumps(DiagonalBasis(carrier, [Relation.full(carrier)]))
+        assert elapsed < 0.05, f"validate, convert and covering_member took {elapsed:.3f}s at k={k}"
+
+    def test_covering_member_refuses_an_invalid_basis(self):
+        cb = CoverBasis(C3, [Cover(C3, [[0, 1], [1, 2]])])
+        with pytest.raises(ValidationError, match="^invalid cover basis: star_refinement$"):
+            covering_member(cb, Cover(C3, [[0, 1, 2]]))
 
     def test_seeded_random_bases_up_to_n6(self):
         rng = random.Random(20211)
@@ -704,8 +789,6 @@ class TestBasisContainers:
             DiagonalBasis(C3, [Relation.full(Carrier(2))])
 
     def test_covering_membership(self):
-        from ultrauniform.uniformity import covering_member
-
         p1 = Cover(C3, [[0, 1], [2]])
         p2 = Cover(C3, [[0], [1, 2]])
         cb = CoverBasis(C3, [p1, p2])
