@@ -55,23 +55,15 @@ def padic_pseudometric(p: int, size: int) -> Pseudometric:
 
 
 def congruence_relation(modulus: int, step: int) -> Relation:
-    """x ~ y iff step divides x - y, restricted to {0..modulus-1}."""
-    from .core import Carrier, Relation
+    """x ~ y iff step divides x - y, restricted to {0..modulus-1}: row x is the class of x % step."""
+    from .core import Carrier, Relation, mask_of
 
-    carrier = Carrier(modulus)
-    rows = []
-    for x in range(modulus):
-        row = 0
-        for y in range(modulus):
-            if (x - y) % step == 0:
-                row |= 1 << y
-        rows.append(row)
-    return Relation(carrier, rows)
+    classes = [mask_of(range(r, modulus, step)) for r in range(min(step, modulus))]
+    return Relation(Carrier(modulus), [classes[x % step] for x in range(modulus)])
 
 
 def ideal_chain_basis(modulus: int, ideal: int, depth: int) -> DiagonalBasis:
     """Congruences modulo ideal**k for k = 0..depth on {0..modulus-1}."""
-    from .core import Carrier
     from .uniformity import DiagonalBasis
 
     if modulus < 1:
@@ -80,9 +72,8 @@ def ideal_chain_basis(modulus: int, ideal: int, depth: int) -> DiagonalBasis:
         raise ValueError("ideal generator must be positive")
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    carrier = Carrier(modulus)
     rels = [congruence_relation(modulus, ideal**k) for k in range(depth + 1)]
-    return DiagonalBasis(carrier, rels)
+    return DiagonalBasis(rels[0].carrier, rels)
 
 
 def _read_input(raw: str) -> dict:

@@ -173,8 +173,8 @@ class Relation:
     def is_reflexive(self) -> bool:
         return all(map(and_, self.rows, _units(self.carrier.n)))
 
-    def is_symmetric(self) -> bool:
-        return self.rows == inverse(self).rows
+    def is_symmetric(self) -> bool:  # each y in R[x] has x in R[y], read off the rows
+        return all(self.rows[y] >> x & 1 for x, row in enumerate(self.rows) for y in bits(row))
 
     def is_transitive(self) -> bool:
         return compose(self, self).issubset(self)

@@ -22,7 +22,8 @@ one big-int expression per pair of points, which names its first failing
 Ball relations are read from the table's level balls: per point, its
 distinct distances in ascending order and the ball of each as a bitmask,
 built in one pass over the grid on the first ball the table is asked for
-and kept on the table, so each radius costs one C-level count per point.
+and kept on the table, so each radius costs one C-level count per point;
+a system is decided on its zero set, read straight from the grids.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ import re
 import sys
 from array import array
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
+from operator import not_
 from typing import Iterable, Sequence
 
 from .core import (
@@ -40,9 +42,10 @@ from .core import (
     CarrierMismatch,
     Relation,
     is_equivalence,
+    mask_of,
     same_carrier,
 )
-from .uniformity import DiagonalBasis, is_non_archimedean, normalize
+from .uniformity import DiagonalBasis, normalize
 
 
 # "p" or "p/q" in ASCII digits, at most 4300 of them in each part (the
@@ -422,27 +425,26 @@ def thresholds(d: Pseudometric) -> list[Fraction]:
     value above the maximum enumerate all of them.
     """
     vals = d.values()
-    if not vals:
-        return [Fraction(1)]
-    return vals + [vals[-1] + 1]
+    return vals + [vals[-1] + 1] if vals else [Fraction(1)]
 
 
 def basis_from_system(m: PseudometricSystem) -> DiagonalBasis:
-    """Diagonal basis of all distinct ball relations of the system."""
-    rels = set()
-    for d in m.metrics:
-        for eps in thresholds(d):
-            rels.add(ball_relation(d, eps))
-    return DiagonalBasis(m.carrier, rels)
+    """The singleton {Z}, Z the pairs at distance 0 in every metric of the system.
+
+    A metric's least ball relation is its zero set, so Z is the D_min of the
+    basis of every ball relation (`oracle.slow_basis_from_system`); Z is an
+    equivalence, so that basis is valid and generates the uniformity of {Z}.
+    """
+    cells = zip(*(d.grid for d in m.metrics))  # per point x, its row in each grid
+    rows = tuple(mask_of(compress(range(m.n), map(not_, map(any, zip(*xs))))) for xs in cells)
+    return DiagonalBasis(m.carrier, [Relation._trusted(m.carrier, rows)])
 
 
 def systems_equivalent(m: PseudometricSystem, nsys: PseudometricSystem) -> bool:
-    """True iff both systems induce the same uniformity."""
-    from .uniformity import uniformity_equal
-
+    """True iff both systems induce the same uniformity: their zero sets are equal."""
     if m.carrier != nsys.carrier:
         raise CarrierMismatch("systems on different carriers")
-    return uniformity_equal(basis_from_system(m), basis_from_system(nsys))
+    return basis_from_system(m) == basis_from_system(nsys)
 
 
 class Chain:
@@ -521,14 +523,13 @@ def chain_pm(kappa: Chain) -> Pseudometric:
 
 
 def system_from_na_basis(b: DiagonalBasis) -> PseudometricSystem:
-    """One two-step chain ultrametric per witness relation; the witness is {D_min}.
+    """The two-step chain ultrametric of D_min: 0 inside D_min, else 1.
 
     It induces the same uniformity as the input; an invalid basis raises ValidationError.
     """
-    _, witness = is_non_archimedean(b)
     full = Relation.full(b.carrier)
-    metrics = {chain_pm(Chain(b.carrier, [full, e])) for e in witness.entourages}
-    return PseudometricSystem(b.carrier, metrics)
+    d_min = normalize(b).entourages[0]
+    return PseudometricSystem(b.carrier, [chain_pm(Chain(b.carrier, [full, d_min]))])
 
 
 def descending_chain(es: Sequence[Relation]) -> Chain:

@@ -8,6 +8,8 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import reduce
+from operator import and_
 from pathlib import Path
 
 import pytest
@@ -675,20 +677,56 @@ def relabelled_cover(cover, pi):
     return tuple(sorted(tuple(sorted(pi[x] for x in s)) for s in cover))
 
 
-def relabelled_payload(payload, pi):
-    """A cover verb's payload with each point x renamed pi[x], in canonical order.
+def relabelled_pairs(relation, pi):
+    return tuple(sorted((pi[x], pi[y]) for x, y in relation["pairs"]))
 
-    The entourages are sorted as the JSON format sorts them, and the
-    failing covers of a report are a set.
+
+def relabelled_member(witness, pi):
+    """A report's failing member: a relation, or a cover as lists of points."""
+    return relabelled_pairs(witness, pi) if isinstance(witness, dict) else relabelled_cover(witness, pi)
+
+
+def relabelled_dist(dist, pi):
+    moved = [[None] * len(dist) for _ in dist]
+    for x, row in enumerate(dist):
+        for y, v in enumerate(row):
+            moved[pi[x]][pi[y]] = v
+    return moved
+
+
+def relabelled_payload(payload, pi):
+    """A verb's payload with each point x renamed pi[x], in canonical order.
+
+    Entourages, covers and metrics are sorted as the JSON format sorts them,
+    the failing members of a report are a set, and a lone distance table
+    (metrize's chain follows the entourage order) is taken by its zero set.
     """
     out = dict(payload)
-    if "report" in out:
-        out["report"] = relabelled_payload(out["report"], pi)
+    for key in ("report", "witness"):
+        if isinstance(out.get(key), dict):
+            out[key] = relabelled_payload(out[key], pi)
     if "violations" in out:
-        out["violations"] = {(v["axiom"], relabelled_cover(v["witness"], pi)) for v in out["violations"]}
+        out["violations"] = {(v["axiom"], relabelled_member(v["witness"], pi)) for v in out["violations"]}
     if "entourages" in out:
-        out["entourages"] = sorted(sorted([pi[x], pi[y]] for x, y in e["pairs"]) for e in out["entourages"])
+        out["entourages"] = sorted(relabelled_pairs(e, pi) for e in out["entourages"])
+    if "covers" in out:
+        out["covers"] = sorted(relabelled_cover(c, pi) for c in out["covers"])
+    if "metrics" in out:
+        out["metrics"] = sorted(relabelled_dist(m["dist"], pi) for m in out["metrics"])
+    if "dist" in out:
+        out["dist"] = sorted(
+            (pi[x], pi[y]) for x, row in enumerate(out["dist"]) for y, v in enumerate(row) if v == "0/1"
+        )
     return out
+
+
+def run_each(capsys, verb, payloads):
+    """(exit code, payload) of `verb` on each JSON input."""
+    outputs = []
+    for payload in payloads:
+        code = main([*verb, "--in", json.dumps(payload)])
+        outputs.append((code, json.loads(capsys.readouterr().out)))
+    return outputs
 
 
 class TestCoverRelabelling:
@@ -727,15 +765,83 @@ class TestCoverRelabelling:
             moved = [[[pi[x] for x in s] for s in c] for c in covers for _ in range(rng.randint(1, 2))]
             rng.shuffle(moved)
             for verb in verbs:
-                outputs = []
-                for basis in (covers, moved):
-                    code = main([*verb, "--in", json.dumps({"n": n, "covers": basis})])
-                    outputs.append((code, json.loads(capsys.readouterr().out)))
-                (code, out), (moved_code, moved_out) = outputs
+                (code, out), (moved_code, moved_out) = run_each(
+                    capsys, verb, [{"n": n, "covers": basis} for basis in (covers, moved)]
+                )
                 assert moved_code == code, (verb, covers, pi)
                 assert relabelled_payload(moved_out, range(n)) == relabelled_payload(out, pi)
                 codes[code] += 1
         assert min(codes.values()) >= 20, codes
+
+
+class TestDiagonalRelabelling:
+    """The diagonal verbs commute with renaming the points, shuffling and duplicating entourages."""
+
+    @staticmethod
+    def diagonal_bases(rng):
+        """150 bases on 2-8 points; each odd one is spoiled, so that about half are invalid."""
+        from ultrauniform.oracle import random_equivalence_basis, random_valid_basis
+
+        for i in range(150):
+            n = rng.randint(2, 8)
+            draw = random_valid_basis if i % 4 < 2 else random_equivalence_basis
+            rows = [list(e.rows) for e in draw(rng, n).entourages]
+            d_min = [reduce(and_, column) for column in zip(*rows)]
+            outside = [(x, y) for x in range(n) for y in range(n) if not d_min[x] >> y & 1]
+            x, y = rng.choice(outside) if outside else (0, 1)
+            if i % 6 == 1:  # (x, y) joins every member, so D_min is asymmetric
+                rows = [r[:x] + [r[x] | 1 << y] + r[x + 1:] for r in rows]
+            elif i % 6 == 3:  # x and y meet in every member: transitive only if both were alone
+                rows = [[r[u] | 1 << (x + y - u) if u in (x, y) else r[u] for u in range(n)] for r in rows]
+            elif i % 6 == 5:  # one member misses (x, x)
+                rows[0][x] &= ~(1 << x)
+            yield n, [[(u, v) for u in range(n) for v in range(n) if r[u] >> v & 1] for r in rows]
+
+    def test_diagonal_verbs_commute_with_relabelling(self, capsys):
+        rng = random.Random(20261023)
+        verbs = (["validate"], ["check-na"], ["convert", "--to", "cover"], ["pm-system"],
+                 ["roundtrip"], ["metrize"])
+        codes = {0: 0, 1: 0, 2: 0}
+        valid = 0
+        for n, entourages in self.diagonal_bases(rng):
+            pi = rng.sample(range(n), n)
+            moved = [[[pi[x], pi[y]] for x, y in pairs] for pairs in entourages
+                     for _ in range(rng.randint(1, 2))]
+            for pairs in moved:
+                rng.shuffle(pairs)
+            rng.shuffle(moved)
+            payloads = [
+                {"n": n, "entourages": [{"n": n, "pairs": pairs} for pairs in basis]}
+                for basis in (entourages, moved)
+            ]
+            for verb in verbs:
+                (code, out), (moved_code, moved_out) = run_each(capsys, verb, payloads)
+                assert moved_code == code, (verb, entourages, pi)
+                assert relabelled_payload(moved_out, range(n)) == relabelled_payload(out, pi)
+                codes[code] += 1
+            valid += code == 0
+        assert 50 <= valid <= 100 and min(codes.values()) >= 50, (valid, codes)
+
+
+class TestTopologyRelabelling:
+    def test_topo_check_and_uniformize_commute_with_relabelling_n4(self, capsys):
+        from ultrauniform.oracle import enumerate_preorder_topologies
+
+        rng = random.Random(20261024)
+        codes = {0: 0, 1: 0}
+        for t in enumerate_preorder_topologies(4):
+            opens = t.to_json()["opens"]
+            pi = rng.sample(range(4), 4)
+            moved = [[pi[x] for x in o] for o in opens]
+            rng.shuffle(moved)
+            for verb in (["topo-check"], ["uniformize"]):
+                (code, out), (moved_code, moved_out) = run_each(
+                    capsys, verb, [{"n": 4, "opens": family} for family in (opens, moved)]
+                )
+                assert moved_code == code, (verb, opens, pi)
+                assert relabelled_payload(moved_out, range(4)) == relabelled_payload(out, pi)
+                codes[code] += 1
+        assert codes == {0: 2 * 15, 1: 2 * (355 - 15)}, codes
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -849,3 +955,10 @@ class TestGeneratorHelpers:
             ideal_chain_basis(0, 3, 2)
         with pytest.raises(ValueError):
             ideal_chain_basis(9, 3, -1)
+
+    def test_congruence_relation_matches_the_per_pair_definition(self):
+        for modulus in range(1, 25):
+            carrier = Carrier(modulus)
+            for step in range(1, 60):  # steps above the modulus leave only the identity
+                pairs = [(x, y) for x in range(modulus) for y in range(modulus) if (x - y) % step == 0]
+                assert congruence_relation(modulus, step) == Relation.from_pairs(carrier, pairs)

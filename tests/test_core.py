@@ -145,6 +145,31 @@ class TestRowDecisions:
         assert min(verdicts.values()) >= 200 and reflexive_misses >= 100, verdicts
 
 
+class TestIsSymmetric:
+    """`is_symmetric` reads the rows; the definition is inverse(r) == r."""
+
+    def test_every_relation_up_to_n3(self):
+        verdicts = {True: 0, False: 0}
+        for n in (1, 2, 3):
+            for r in enumerate_relations(n):
+                expected = inverse(r) == r
+                assert r.is_symmetric() == expected, r
+                verdicts[expected] += 1
+        assert verdicts == {True: 2 + 2**3 + 2**6, False: 2 + 16 + 512 - (2 + 2**3 + 2**6)}
+
+    def test_seeded_relations_up_to_n16(self):
+        rng = random.Random(1616)
+        verdicts = {True: 0, False: 0}
+        for _ in range(200):
+            n = rng.randint(1, 16)
+            for r in perturbed_equivalences(rng, n):
+                for s in (r, r | inverse(r)):
+                    expected = inverse(s) == s
+                    assert s.is_symmetric() == expected, s
+                    verdicts[expected] += 1
+        assert min(verdicts.values()) >= 500, verdicts
+
+
 class TestEqClosure:
     def test_single_pair(self):
         e = eq_closure(rel([(0, 1)]))

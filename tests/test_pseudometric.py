@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -27,6 +28,7 @@ from ultrauniform.oracle import (
     random_equivalence,
     random_ultrametric,
     slow_ball_relation,
+    slow_basis_from_system,
 )
 from ultrauniform.pseudometric import (
     Chain,
@@ -44,7 +46,7 @@ from ultrauniform.pseudometric import (
     thresholds,
 )
 from ultrauniform.pseudometric import _is_ultrametric, _level_balls, _pack, _triangle_failure
-from ultrauniform.uniformity import DiagonalBasis, uniformity_equal, validate_diagonal
+from ultrauniform.uniformity import DiagonalBasis, normalize, uniformity_equal, validate_diagonal
 
 C3 = Carrier(3)
 FULL3 = Relation.full(C3)
@@ -231,8 +233,9 @@ class TestBallRelation:
 class TestBasisFromSystem:
     def test_single_zero_one_ultrametric(self):
         d = pm([[0, 0, 1], [0, 0, 1], [1, 1, 0]])
-        b = basis_from_system(PseudometricSystem(C3, [d]))
-        assert set(b.entourages) == {E01, FULL3}
+        system = PseudometricSystem(C3, [d])
+        assert set(slow_basis_from_system(system).entourages) == {E01, FULL3}
+        assert basis_from_system(system).entourages == (E01,)
 
     def test_zero_metric(self):
         b = basis_from_system(PseudometricSystem(C3, [ZERO3]))
@@ -241,10 +244,92 @@ class TestBasisFromSystem:
     def test_padic_ball_relations_are_congruences(self):
         from ultrauniform.cli import congruence_relation, padic_pseudometric
 
-        d = padic_pseudometric(2, 8)
-        b = basis_from_system(PseudometricSystem(Carrier(8), [d]))
+        system = PseudometricSystem(Carrier(8), [padic_pseudometric(2, 8)])
         expected = {congruence_relation(8, 2**k) for k in range(4)}
-        assert set(b.entourages) == expected
+        assert set(slow_basis_from_system(system).entourages) == expected
+        assert basis_from_system(system).entourages == (congruence_relation(8, 8),)
+
+
+def line_pm(carrier, f):
+    """The line pseudometric |f(x) - f(y)|; points with equal f are at distance 0."""
+    return Pseudometric(carrier, [[abs(a - b) for b in f] for a in f])
+
+
+def relabelled(dist, pi):
+    """The table with each point x renamed pi[x]."""
+    moved = [[None] * len(dist) for _ in dist]
+    for x, row in enumerate(dist):
+        for y, v in enumerate(row):
+            moved[pi[x]][pi[y]] = v
+    return moved
+
+
+def random_system(rng, n):
+    """1-3 metrics, each a random ultrametric or a line pseudometric repeating points."""
+    carrier = Carrier(n)
+    metrics = [
+        random_ultrametric(rng, n) if rng.random() < 0.5
+        else line_pm(carrier, [rng.randint(0, n // 2) for _ in range(n)])
+        for _ in range(rng.randint(1, 3))
+    ]
+    return PseudometricSystem(carrier, metrics)
+
+
+class TestSystemsAgainstOracle:
+    """Systems are decided on their zero set; the oracle enumerates every ball relation."""
+
+    def test_seeded_systems_agree_with_ball_bases(self):
+        rng = random.Random(2018)
+        outcomes = {True: 0, False: 0}
+        for i in range(1500):
+            n = rng.randint(1, 9)
+            s, t = random_system(rng, n), random_system(rng, n)
+            if i % 4 == 1:  # one metric with the same zero set
+                t = PseudometricSystem(s.carrier, [sup_pm(s.metrics)])
+            elif i % 4 == 2:  # more metrics: the zero set can only shrink
+                t = PseudometricSystem(s.carrier, s.metrics + t.metrics)
+            slow = [slow_basis_from_system(s), slow_basis_from_system(t)]
+            assert basis_from_system(s) == normalize(slow[0]), s.to_json()
+            assert basis_from_system(t) == normalize(slow[1]), t.to_json()
+            equivalent = systems_equivalent(s, t)
+            assert equivalent == uniformity_equal(*slow), (s.to_json(), t.to_json())
+            outcomes[equivalent] += 1
+        assert min(outcomes.values()) >= 500, outcomes
+
+    def test_zero_set_commutes_with_relabelling(self):
+        rng = random.Random(2019)
+        outcomes = {True: 0, False: 0}
+        for _ in range(300):
+            n = rng.randint(1, 9)
+            pi = rng.sample(range(n), n)
+
+            def moved(system):
+                tables = [relabelled(d.dist, pi) for d in system.metrics]
+                return PseudometricSystem(system.carrier, [Pseudometric(system.carrier, t) for t in tables])
+
+            s, t = random_system(rng, n), random_system(rng, n)
+            z = basis_from_system(s).entourages[0]
+            moved_z = Relation.from_pairs(z.carrier, [(pi[x], pi[y]) for x, y in z.pairs()])
+            assert basis_from_system(moved(s)).entourages == (moved_z,)
+            equivalent = systems_equivalent(s, t)
+            assert systems_equivalent(moved(s), moved(t)) == equivalent
+            outcomes[equivalent] += 1
+        assert min(outcomes.values()) >= 50, outcomes
+
+    def test_three_line_metrics_n96_within_budget(self):
+        # distinct points: every metric is a metric, so Z is the identity;
+        # the ball bases hold about 3 * 4500 relations each
+        rng = random.Random(96)
+        c96 = Carrier(96)
+        s, t = (
+            PseudometricSystem(c96, [line_pm(c96, rng.sample(range(10**4), 96)) for _ in range(3)])
+            for _ in range(2)
+        )
+        started = time.perf_counter()
+        assert systems_equivalent(s, t)
+        assert basis_from_system(s).entourages == (Relation.identity(c96),)
+        elapsed = time.perf_counter() - started
+        assert elapsed < 0.05, f"systems_equivalent and basis_from_system took {elapsed:.3f}s at n=96"
 
 
 class TestSystemsEquivalent:
@@ -381,8 +466,9 @@ class TestMetrize:
         d = metrize([E01, ID3])
         assert d.d(0, 1) == Fraction(1, 2)
         assert d.d(0, 2) == 1 and d.d(1, 2) == 1
-        induced = basis_from_system(PseudometricSystem(C3, [d]))
-        assert set(induced.entourages) == {FULL3, E01, ID3}
+        system = PseudometricSystem(C3, [d])
+        assert set(slow_basis_from_system(system).entourages) == {FULL3, E01, ID3}
+        assert basis_from_system(system).entourages == (ID3,)
 
     def test_rejects_non_equivalence(self):
         for es in ([Relation.from_pairs(C3, [(0, 1)])], [ID3 | Relation.from_pairs(C3, [(0, 1)])]):

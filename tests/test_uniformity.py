@@ -745,6 +745,7 @@ class TestNormalizePadic:
         # oracle: realize every ball relation of the dyadic valuation
         # distance on {0..7} by direct scanning, then intersect
         from ultrauniform.cli import padic_pseudometric
+        from ultrauniform.oracle import slow_basis_from_system
         from ultrauniform.pseudometric import PseudometricSystem, basis_from_system
 
         d = padic_pseudometric(2, 8)
@@ -762,9 +763,11 @@ class TestNormalizePadic:
             expected = expected & b
         assert expected == Relation.identity(c8)
 
-        basis = basis_from_system(PseudometricSystem(c8, [d]))
+        system = PseudometricSystem(c8, [d])
+        basis = slow_basis_from_system(system)
         assert set(basis.entourages) == set(balls)
         assert normalize(basis) == DiagonalBasis(c8, [expected])
+        assert basis_from_system(system) == DiagonalBasis(c8, [expected])
 
 
 class TestBasisContainers:
