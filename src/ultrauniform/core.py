@@ -8,7 +8,7 @@ All values are immutable after construction.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import and_, or_
+from operator import and_
 from typing import Iterable, Iterator
 
 
@@ -161,10 +161,6 @@ class Relation:
     def __and__(self, other: "Relation") -> "Relation":
         carrier = same_carrier(self, other)
         return Relation._trusted(carrier, tuple(map(and_, self.rows, other.rows)))
-
-    def __or__(self, other: "Relation") -> "Relation":
-        carrier = same_carrier(self, other)
-        return Relation._trusted(carrier, tuple(map(or_, self.rows, other.rows)))
 
     def issubset(self, other: "Relation") -> bool:
         same_carrier(self, other)

@@ -324,12 +324,16 @@ def sup_pm(ds: Sequence[Pseudometric]) -> Pseudometric:
         raise ValueError("sup of an empty family")
     carrier = same_carrier(*ds)
     scale = math.lcm(*(d.scale for d in ds))
-    grids = [  # a table already at the common scale is taken as it is
-        d.grid if d.scale == scale else [list(map((scale // d.scale).__mul__, r)) for r in d.grid]
-        for d in ds
-    ]
+    grids = [_grid_at(d, scale) for d in ds]
     grid = [list(map(max, zip(*rows))) for rows in zip(*grids)]
     return Pseudometric._from_grid(carrier, grid, scale)
+
+
+def _grid_at(d: Pseudometric, scale: int) -> tuple[tuple[int, ...], ...]:
+    """d's grid over `scale`, a multiple of d.scale; a grid already there is taken as it is."""
+    if d.scale == scale:
+        return d.grid
+    return tuple(tuple(map((scale // d.scale).__mul__, r)) for r in d.grid)
 
 
 def _level_balls(grid: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple, tuple], ...]:
@@ -386,8 +390,11 @@ class PseudometricSystem:
         for m in metrics:
             if m.carrier != carrier:
                 raise CarrierMismatch("pseudo-metric on a different carrier")
+        metrics = set(metrics)
+        scale = math.lcm(*(m.scale for m in metrics))
         self.carrier = carrier
-        self.metrics = tuple(sorted(set(metrics), key=lambda m: m.dist))
+        # ordered as by `m.dist`: scaling every grid to one scale keeps the order
+        self.metrics = tuple(sorted(metrics, key=lambda m: _grid_at(m, scale)))
 
     @property
     def n(self) -> int:

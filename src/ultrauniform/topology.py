@@ -15,7 +15,6 @@ from .core import (
 from .uniformity import (
     DiagonalBasis,
     ValidationReport,
-    intersection_closure,
     minimum_entourage,
     normalize,
 )
@@ -193,12 +192,18 @@ def continuous_binary_maps(t: FiniteTopology) -> list[BinaryMap]:
 
 
 def uniformity_from_binary_maps(maps: Iterable[BinaryMap]) -> DiagonalBasis:
-    """Intersection closure of the agreement relations of the given maps."""
+    """The singleton {Q}, Q the AND of the agreement relations of the given maps.
+
+    Each agreement relation is an equivalence, so Q is one too, and it lies
+    inside every member of their intersection closure: {Q} generates the
+    uniformity that closure generates, and Q is its first member in row
+    order (`oracle.slow_intersection_closure` builds the closure).  For the
+    clopen sets of a topology, Q is the partition into quasi-components.
+    """
     maps = list(maps)
     if not maps:
         raise ValueError("need at least one binary map")
-    carrier = maps[0].carrier
-    return DiagonalBasis(carrier, intersection_closure(m.relation() for m in maps))
+    return normalize(DiagonalBasis(maps[0].carrier, [m.relation() for m in maps]))
 
 
 def partition_topology(p: Partition) -> FiniteTopology:
@@ -230,7 +235,7 @@ def is_uniformizable_na(
 ) -> tuple[bool, Optional[DiagonalBasis]]:
     """Try to recover t as the induced topology of an equivalence-relation basis.
 
-    The candidate basis is built from all continuous binary maps; the
+    The candidate basis is {Q}, built from all continuous binary maps; the
     topology is uniformizable this way iff that canonical candidate
     induces it exactly.
     """

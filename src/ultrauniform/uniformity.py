@@ -233,16 +233,6 @@ class CoverBasis:
         return f"CoverBasis({self.n}, {len(self.covers)} covers)"
 
 
-def intersection_closure(relations: Iterable[Relation]) -> tuple[Relation, ...]:
-    """Close a family of relations under pairwise intersection, in row order."""
-    relations = tuple(relations)
-    if not relations:
-        return ()
-    carrier = same_carrier(*relations)
-    closure = _closure(relations, repeat(0))
-    return tuple(Relation._trusted(carrier, rows) for rows in sorted(closure))
-
-
 def _closure(relations: Iterable[Relation], flags: Iterable[int]) -> dict[tuple[int, ...], int]:
     """The intersection closure as row tuples, each with the OR of its generators' flags.
 

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from functools import reduce
 from operator import and_
@@ -457,6 +458,20 @@ class TestUniformize:
         assert code == 0
         witness = DiagonalBasis.from_json(obj["witness"])
         assert uniformity_equal(witness, DiagonalBasis(C3, [E01]))
+
+    def test_discrete_n9_within_budget(self, capsys):
+        # the witness is {Q}, the identity here; the whole closure of the
+        # clopen agreement relations would have Bell(9) = 21147 members
+        c9 = Carrier(9)
+        opens = [[x for x in range(9) if m >> x & 1] for m in range(1 << 9)]
+        text = json.dumps({"n": 9, "opens": opens})
+        started = time.perf_counter()
+        code = main(["uniformize", "--in", text])
+        elapsed = time.perf_counter() - started
+        obj = json.loads(capsys.readouterr().out)
+        assert code == 0 and obj["uniformizable"] is True
+        assert obj["witness"] == DiagonalBasis(c9, [Relation.identity(c9)]).to_json()
+        assert elapsed < 1.0, f"uniformize took {elapsed:.2f}s on the discrete 9-point topology"
 
 
 # Sweep stdout recorded before the sweeps were folded into one table, as

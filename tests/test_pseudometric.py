@@ -8,6 +8,7 @@ import sys
 import time
 from fractions import Fraction
 from functools import lru_cache
+from operator import or_
 from pathlib import Path
 
 import pytest
@@ -53,6 +54,11 @@ FULL3 = Relation.full(C3)
 ID3 = Relation.identity(C3)
 E01 = eq_closure(Relation.from_pairs(C3, [(0, 1)]))
 ZERO3 = Pseudometric(C3, [[0] * 3 for _ in range(3)])
+
+
+def union(r, s):
+    """The pairs of r or s, on r's carrier."""
+    return Relation(r.carrier, map(or_, r.rows, s.rows))
 
 
 def pm(table, n=3):
@@ -332,6 +338,28 @@ class TestSystemsAgainstOracle:
         assert elapsed < 0.05, f"systems_equivalent and basis_from_system took {elapsed:.3f}s at n=96"
 
 
+class TestSystemOrder:
+    def test_metrics_sorted_as_by_dist(self):
+        # the system sorts on integer grids at one scale; that must keep the
+        # order of the Fraction tables, here across scales 1, 2, 3 and 6
+        rng = random.Random(1906)
+        mixed = 0
+        for _ in range(3000):
+            n = rng.randint(2, 8)
+            carrier = Carrier(n)
+            metrics = []
+            for _ in range(rng.randint(2, 4)):
+                if rng.random() < 0.5:
+                    metrics.append(random_ultrametric(rng, n))
+                else:
+                    f, scale = [rng.randint(0, 4) for _ in range(n)], rng.choice((1, 2, 3, 6))
+                    metrics.append(pm([[Fraction(abs(a - b), scale) for b in f] for a in f], n))
+            system = PseudometricSystem(carrier, metrics)
+            assert system.metrics == tuple(sorted(set(metrics), key=lambda m: m.dist))
+            mixed += len({m.scale for m in system.metrics}) > 1
+        assert mixed >= 1500, mixed
+
+
 class TestSystemsEquivalent:
     def test_self(self):
         d = pm([[0, 0, 1], [0, 0, 1], [1, 1, 0]])
@@ -471,7 +499,7 @@ class TestMetrize:
         assert basis_from_system(system).entourages == (ID3,)
 
     def test_rejects_non_equivalence(self):
-        for es in ([Relation.from_pairs(C3, [(0, 1)])], [ID3 | Relation.from_pairs(C3, [(0, 1)])]):
+        for es in ([Relation.from_pairs(C3, [(0, 1)])], [union(ID3, Relation.from_pairs(C3, [(0, 1)]))]):
             with pytest.raises(ValidationError, match="^invalid diagonal basis: ") as refused:
                 metrize(es)
             expected = validate_diagonal(DiagonalBasis(C3, es))
@@ -479,8 +507,8 @@ class TestMetrize:
 
     def test_valid_basis_of_non_equivalences(self):
         # neither member is symmetric, but their intersection E01 is an equivalence
-        a = E01 | Relation.from_pairs(C3, [(0, 2)])
-        b = E01 | Relation.from_pairs(C3, [(2, 0)])
+        a = union(E01, Relation.from_pairs(C3, [(0, 2)]))
+        b = union(E01, Relation.from_pairs(C3, [(2, 0)]))
         assert descending_chain([a, b]).steps == (FULL3, E01)
         d = metrize([a, b])
         assert d == metrize([E01])

@@ -1,14 +1,18 @@
 """Finite topologies: clopen separation, binary maps, induced uniformities."""
 
+import random
+
 import pytest
 
-from ultrauniform.core import Carrier, Relation, ValidationError
+from ultrauniform.core import Carrier, CarrierMismatch, Relation, ValidationError
 from ultrauniform.oracle import (
     bell_number,
     enumerate_equivalence_bases,
     enumerate_partitions,
+    enumerate_preorder_topologies,
     enumerate_topologies,
     eq_closure,
+    slow_intersection_closure,
 )
 from ultrauniform.topology import (
     BinaryMap,
@@ -27,7 +31,7 @@ from ultrauniform.topology import (
     uniformity_from_binary_maps,
     validate_topology,
 )
-from ultrauniform.uniformity import DiagonalBasis, validate_diagonal
+from ultrauniform.uniformity import DiagonalBasis, normalize, validate_diagonal
 
 C3 = Carrier(3)
 E01 = eq_closure(Relation.from_pairs(C3, [(0, 1)]))
@@ -148,6 +152,29 @@ class TestUniformityFromMaps:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             uniformity_from_binary_maps([])
+
+    def test_carrier_mismatch(self):
+        with pytest.raises(CarrierMismatch):
+            uniformity_from_binary_maps([BinaryMap(C3, 0b001), BinaryMap(Carrier(2), 0b01)])
+
+    def test_principal_generator_against_slow_closure(self):
+        # {Q} generates what the closure of the agreement relations does, and
+        # Q is that closure's first member: the uniformize witness it replaces
+        # was the whole closure, and its verdict came from the closure too
+        topologies = [t for n in range(1, 5) for t in enumerate_preorder_topologies(n)]
+        topologies += random.Random(1905).sample(list(enumerate_preorder_topologies(5)), 300)
+        uniformizable = 0
+        for t in topologies:
+            maps = continuous_binary_maps(t)
+            closure = slow_intersection_closure(m.relation() for m in maps)
+            slow = DiagonalBasis(t.carrier, closure)
+            assert uniformity_from_binary_maps(maps) == normalize(slow), t.to_json()
+            ok, witness = is_uniformizable_na(t)
+            assert ok == (induced_topology(slow) == t), t.to_json()
+            if ok:
+                assert witness.entourages == closure[:1], t.to_json()
+            uniformizable += ok
+        assert len(topologies) == 389 + 300 and uniformizable >= 23, uniformizable
 
 
 class TestInducedTopology:
