@@ -22,6 +22,9 @@ EXIT_FALSE = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
+# the largest value `gen` takes per option, checked before anything is built (README)
+GEN_CAPS = {"--size": 2000, "--modulus": 640, "--depth": 64}
+
 
 def padic_valuation(x: int, p: int) -> int:
     """Exponent of the largest power of p dividing x (x must be nonzero)."""
@@ -220,8 +223,11 @@ def _cmd_sweep(args) -> tuple[int, dict]:
 
 
 def _cmd_gen(args) -> tuple[int, dict]:
+    size = args.size if args.size is not None else args.n
+    for option, value in zip(GEN_CAPS, (size, args.modulus, args.depth)):
+        if value is not None and value > GEN_CAPS[option]:
+            raise ValueError(f"gen: {option} {value} is over its cap of {GEN_CAPS[option]}")
     if args.kind == "padic":
-        size = args.size if args.size is not None else args.n
         if size is None:
             raise ValueError("gen padic needs --size (or --n)")
         return EXIT_OK, padic_pseudometric(args.p, size).to_json()

@@ -49,19 +49,25 @@ def loads(text: str):
 
 
 def _render_rows(rows, nl: str):
-    """Rendered rows after one type pass over all cells, or None for other rows.
+    """Rendered rows, or None for rows that need the general renderer.
 
-    Int rows of one length (pairs) share one %-format; str rows (distance
-    tables) are quoted with one map each.
+    Str rows (distance tables) are quoted once per distinct cell; another
+    cell fails the set, the quote or the type test.  Int rows of one length
+    (pairs) share one %-format after a type pass, as a set would hide a bool.
     """
-    cells = set(map(type, chain.from_iterable(rows)))
     inner = nl + "  "
     sep = "," + inner
-    if cells == {int} and len(set(map(len, rows))) == 1:
+    if rows[0] and type(rows[0][0]) is str:
+        try:
+            distinct = set().union(*rows)
+            quoted = dict(zip(distinct, map(_quote, distinct)))
+        except TypeError:
+            return None
+        if set(map(type, quoted)) == {str} and all(rows):
+            return ["[" + inner + sep.join(map(quoted.__getitem__, row)) + nl + "]" for row in rows]
+    elif set(map(type, chain.from_iterable(rows))) == {int} and len(set(map(len, rows))) == 1:
         row_format = "[" + inner + sep.join(["%d"] * len(rows[0])) + nl + "]"
         return map(row_format.__mod__, map(tuple, rows))
-    if cells == {str} and all(rows):
-        return ["[" + inner + sep.join(map(_quote, row)) + nl + "]" for row in rows]
     return None
 
 

@@ -9,21 +9,22 @@ grids directly; `Fraction`s appear only at the boundary: the public
 constructor parses them, and `dist`, `d()`, `values()` and `to_json()`
 build `Fraction`s or "p/q" strings from the grid on each call, once per
 distinct grid value; the constructor parses each distinct string or int
-cell once.  A table is checked on its grid, with each row packed into one
-int, in fields of 8, 16, 32 or 64 bits so that a row packs at C speed from
-one `bytes` or `array` (only entries of 2**62 and over are packed through a
-string): a table with at most n distinct values is first tested for the
-strong triangle inequality, one big-int expression per distinct value of
-each row, and passes as an ultrametric (hence a pseudo-metric).  Only a
-table with more values, or one that fails there, runs the triangle scan of
-one big-int expression per pair of points, which names its first failing
-(z, x, y); `is_na` runs the same ultrametric test.
+cell, and each distinct cell object of any other table, once.  A table is
+checked on its grid, with each row packed into one int, in fields of 8, 16,
+32 or 64 bits so that a row packs at C speed from one `bytes` or `array`
+(only larger entries are packed through a string): a table with at most n
+distinct values is first tested for the strong triangle inequality, one
+big-int expression per distinct value of each row, and passes as an
+ultrametric (hence a pseudo-metric).  Only a table with more values, or one
+that fails there, runs the triangle scan of one big-int expression per pair
+of points, which names its first failing (z, x, y); its fields hold one bit
+more than the test's.  The table keeps the test's verdict for `is_na`.
 
 Ball relations are read from the table's level balls: per point, its
 distinct distances in ascending order and the ball of each as a bitmask,
 built in one pass over the grid on the first ball the table is asked for
-and kept on the table, so each radius costs one C-level count per point;
-a system is decided on its zero set, read straight from the grids.
+and kept on the table, so each radius costs one bisection per point; a
+system is decided on its zero set, read straight from the grids.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import math
 import re
 import sys
 from array import array
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import chain, compress
 from operator import not_
@@ -93,17 +95,18 @@ def _ratio(value) -> tuple[int, int]:
     return _as_fraction(value, "distance").as_integer_ratio()
 
 
-def _pack(grid: Sequence[Sequence[int]], values: set[int]) -> tuple[int, list[int]]:
+def _pack(grid: Sequence[Sequence[int]], values: set[int], carry: int = 1) -> tuple[int, list[int]]:
     """Field width w and the rows packed into ints, one w-bit field per column.
 
     `values` are the grid's distinct entries, all nonnegative; column 0 is
-    the lowest field.  w - 1 >= (2m).bit_length() for the largest entry m,
-    which leaves room for a guard bit at the top of every field.  w is
-    rounded up to 8, 16, 32 or 64 bits, so that a row is packed as one
-    `bytes` or the bytes of one `array`; only larger entries take the
-    string path.
+    the lowest field.  w - 1 >= (m << carry).bit_length() for the largest
+    entry m, which leaves room for a guard bit at the top of every field
+    and `carry` bits above m: the ultrametric test needs none, the triangle
+    scan's sums of two entries one.  w is rounded up to 8, 16, 32 or 64
+    bits, so that a row is packed as one `bytes` or the bytes of one
+    `array`; only larger entries take the string path.
     """
-    need = (2 * max(values)).bit_length() + 1
+    need = (max(values) << carry).bit_length() + 1
     if need <= 8:
         return 8, [int.from_bytes(bytes(row), "little") for row in grid]
     for w in (16, 32, 64):
@@ -122,11 +125,13 @@ def _is_ultrametric(grid: Sequence[Sequence[int]], w: int, packed: Sequence[int]
     """Whether every level {d <= v} is an equivalence, i.e. grid is an ultrametric.
 
     The grid must be symmetric, nonnegative and zero on the diagonal, with
-    rows packed by `_pack`.  The balls of a point x are the sets
-    {y | grid[x][y] <= v} for the values v its row holds; each is one
+    rows packed by `_pack` with no carry.  The balls of a point x are the
+    sets {y | grid[x][y] <= v} for the values v its row holds; each is one
     big-int expression, whose surviving guard bits in
-    (packed[x] | guards) - (v + 1) * ones mark the columns outside it.  In an
-    ultrametric every point of a ball B has B among its own balls.
+    (packed[x] | guards) - (v + 1) * ones mark the columns outside it: field
+    y holds guard + grid[x][y] - 1 - v >= guard - 1 - m >= 0, so no field
+    borrows from the next.  In an ultrametric every point of a ball B has B
+    among its own balls.
     Conversely, if it does, then d(x,z) > max(d(x,y), d(y,z)) is impossible:
     the ball {u | d(x,u) < d(x,z)} holds y but not z, so as a ball of y it
     gives d(y,z) > d(y,x), and the ball {u | d(z,u) < d(x,z)} of z gives
@@ -153,8 +158,8 @@ def _triangle_failure(
     """First (z, x, y) with y > x and grid[x][y] > grid[x][z] + grid[z][y].
 
     The grid must already be symmetric, nonnegative and zero on the
-    diagonal, with rows packed by `_pack`; a guard bit is set at the top of
-    every field.  For a pair (z, x) the expression
+    diagonal, with rows packed by `_pack` (one bit of carry); a guard bit is
+    set at the top of every field.  For a pair (z, x) the expression
 
         (packed[z] | guards) + grid[z][x] * ones - packed[x]
 
@@ -184,7 +189,7 @@ def _triangle_failure(
 class Pseudometric:
     """Symmetric nonnegative distance table with zero diagonal and triangles."""
 
-    __slots__ = ("carrier", "scale", "grid", "_balls")
+    __slots__ = ("carrier", "scale", "grid", "_na", "_balls")
 
     def __init__(self, carrier: Carrier, dist: Sequence[Sequence]):
         n = carrier.n
@@ -194,18 +199,17 @@ class Pseudometric:
         try:
             if kinds <= {str, int}:
                 # one parse per distinct cell: an exact str or int equals no cell
-                # of the other kind, while True == 1 would share 1's parse (and
-                # a Fraction hashes in Python, slower than parsing it again)
-                ratio = {v: _ratio(v) for v in set().union(*dist)}
+                # of the other kind, while True == 1 would share 1's parse
                 cells = dist
-            else:  # each cell becomes a (p, q) pair, and equal pairs hash alike in C
-                as_ratio = Fraction.as_integer_ratio if kinds == {Fraction} else _ratio
-                cells = [list(map(as_ratio, row)) for row in dist]
-                distinct = set(chain.from_iterable(cells))
-                ratio = dict(zip(distinct, distinct))
+                distinct = set().union(*dist)
+                ratio = dict(zip(distinct, map(_ratio, distinct)))
+            else:  # one parse per distinct cell object, keyed by id: a Fraction hashes in Python
+                cells = [list(map(id, row)) for row in dist]
+                objects = dict(zip(chain.from_iterable(cells), chain.from_iterable(dist)))
+                ratio = dict(zip(objects, map(_ratio, objects.values())))
             scale = math.lcm(*{q for _, q in ratio.values()})
             value = {v: p * (scale // q) for v, (p, q) in ratio.items()}
-            grid = [list(map(value.__getitem__, row)) for row in cells]
+            grid = [tuple(map(value.__getitem__, row)) for row in cells]
         except ValueError:  # parse again, naming each cell, to report the first refused one
             for x, row in enumerate(dist):
                 for y, v in enumerate(row):
@@ -243,9 +247,9 @@ class Pseudometric:
                         raise ValueError(f"negative distance at ({x},{y})")
         # an ultrametric on n points takes at most n - 1 positive values, and
         # is a pseudometric; any other table is decided by the triangle scan
-        w, packed = _pack(grid, values)
-        if len(values) > n or not _is_ultrametric(grid, w, packed):
-            failure = _triangle_failure(grid, w, packed)
+        self._na = len(values) <= n and _is_ultrametric(grid, *_pack(grid, values, 0))
+        if not self._na:
+            failure = _triangle_failure(grid, *_pack(grid, values))
             if failure is not None:
                 z, x, y = failure
                 raise ValueError(f"triangle inequality fails at ({x},{y}) via {z}")
@@ -309,13 +313,11 @@ class Pseudometric:
 def is_na(d: Pseudometric) -> bool:
     """Strong triangle inequality d(x,y) <= max(d(x,z), d(z,y)) on all triples.
 
-    Decided by the constructor's ultrametric test (`_is_ultrametric`); a
-    table with more than n distinct values is no ultrametric.
+    The constructor's ultrametric test (`_is_ultrametric`) decided it, and
+    the table keeps the verdict; a table with more than n distinct values is
+    no ultrametric.
     """
-    values = set().union(*d.grid)
-    if len(values) > d.n:
-        return False
-    return _is_ultrametric(d.grid, *_pack(d.grid, values))
+    return d._na
 
 
 def sup_pm(ds: Sequence[Pseudometric]) -> Pseudometric:
@@ -325,7 +327,8 @@ def sup_pm(ds: Sequence[Pseudometric]) -> Pseudometric:
     carrier = same_carrier(*ds)
     scale = math.lcm(*(d.scale for d in ds))
     grids = [_grid_at(d, scale) for d in ds]
-    grid = [list(map(max, zip(*rows))) for rows in zip(*grids)]
+    # the first grid twice, so that max takes at least two rows for one metric
+    grid = [tuple(map(max, *rows)) for rows in zip(grids[0], *grids)]
     return Pseudometric._from_grid(carrier, grid, scale)
 
 
@@ -361,20 +364,19 @@ def ball_relation(d: Pseudometric, eps) -> Relation:
 
     Row x is the largest level ball {y | grid[x][y] <= v} of x with v < t,
     the least integer at or above eps * scale; as grid[x][x] = 0 < t, there
-    is one.  The count of such values of x is a C-level sum over its levels.
+    is one, and bisect finds it among the ascending values of x.
     """
     eps = _as_fraction(eps, "ball radius")
     if eps <= 0:
         raise ValueError("ball radius must be positive")
     # d(x,y) < eps  iff  grid[x][y] < eps.num * scale / eps.den  iff  grid[x][y] < t
     t = -(-eps.numerator * d.scale // eps.denominator)
-    below = t.__gt__
     try:
         balls = d._balls
     except AttributeError:
         balls = d._balls = _level_balls(d.grid)
     return Relation._trusted(
-        d.carrier, tuple([masks[sum(map(below, values)) - 1] for values, masks in balls])
+        d.carrier, tuple([masks[bisect_left(values, t) - 1] for values, masks in balls])
     )
 
 
@@ -511,21 +513,18 @@ def chain_pm(kappa: Chain) -> Pseudometric:
     step still contains the pair.  The result always satisfies the strong
     triangle inequality because every step is transitive.
     """
-    steps = kappa.steps
-    k = len(steps)
+    rows = [s.rows for s in kappa.steps]
+    k = len(rows)
     n = kappa.n
     scale = math.lcm(*range(1, k))
     grid = [[0] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(x + 1, n):
-            if steps[-1].has(x, y):
-                continue
-            depth = 1
-            for i in range(k - 1, 0, -1):
-                if steps[i - 1].has(x, y):
-                    depth = i
-                    break
-            grid[x][y] = grid[y][x] = scale // depth
+    for i in range(1, k):  # the pairs in step i but not in step i + 1 are at depth i
+        v = scale // i
+        for row, inside, deeper in zip(grid, rows[i - 1], rows[i]):
+            rest = inside & ~deeper
+            while rest:  # each bit of the mask, peeled here: faster than `bits`
+                row[(low := rest & -rest).bit_length() - 1] = v
+                rest ^= low
     return Pseudometric._from_grid(kappa.carrier, grid, scale)
 
 

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from ultrauniform.cli import (
+    GEN_CAPS,
     _STRUCTURE_VERBS,
     _VALIDATORS,
     _cmd_validate,
@@ -127,6 +128,20 @@ class TestGenIdealChain:
         code, verdict = run(capsys, "check-na", "--in", json.dumps(obj))
         assert code == 0
         assert verdict["non_archimedean"] is True
+
+
+class TestGenCaps:
+    # only cap + 1 is run: each refusal comes before anything is built
+    @pytest.mark.parametrize("kind, option", [
+        ("padic", "--size"), ("padic", "--n"), ("ideal-chain", "--modulus"),
+        ("ideal-chain", "--depth"),
+    ])
+    def test_one_over_a_cap_exits_two_naming_it(self, capsys, kind, option):
+        capped = "--size" if option == "--n" else option
+        cap = GEN_CAPS[capped]
+        code, obj = run(capsys, "gen", kind, option, str(cap + 1))
+        assert code == 2
+        assert obj == {"error": f"gen: {capped} {cap + 1} is over its cap of {cap}"}
 
 
 class TestTopoCheck:

@@ -183,6 +183,33 @@ def test_dumps_matches_stdlib_on_rows(payload):
     assert dumps(payload) == reference(payload)
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [[["0", "a\"b", "c\\d"], ["\n\t\x00\x1f", "0", "\x7f"]],
+     [["é", "€"], ["\U0001d11e", "\ud800"], ["é", "1/2"]],
+     [["0", "1/2"], ["1/2", 0]], [["0", "1/2"], ["1/2", None]], [["0", "1/2"], ["1/2", ["0"]]],
+     [["0", "1/2"], ["1/2", True]], [["0", "1/2"], []], [["0"], [], ["0"]], [["0"], ("1/2",)]],
+    ids=["escapes", "non-ASCII", "a later int cell", "a later null cell", "a later list cell",
+         "a later bool cell", "an empty last row", "an empty middle row", "a tuple row"],
+)
+def test_dumps_matches_stdlib_on_string_tables(payload):
+    assert dumps(payload) == reference(payload)
+    assert dumps({"n": len(payload), "dist": payload}) == reference({"n": len(payload), "dist": payload})
+
+
+def test_dumps_matches_stdlib_on_seeded_string_tables():
+    rng = random.Random(1871)
+    alphabet = ["0", "1/2", "a\"b", "\\", "é", "\U0001d11e", "\n", ""]
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        table = [[rng.choice(alphabet) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.3:
+            table[rng.randrange(n)][rng.randrange(n)] = rng.choice([7, None, False, ["x"], (1,)])
+        if rng.random() < 0.2:
+            table[rng.randrange(n)] = []
+        assert dumps(table) == reference(table)
+
+
 def test_dumps_matches_stdlib_on_seeded_rows():
     rng = random.Random(1519)
     for _ in range(300):

@@ -1,6 +1,7 @@
 """Ultrametric checks, ball relations, chains, and metrization."""
 
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -141,8 +142,9 @@ class TestConstruction:
 
     def test_only_the_grid_is_stored(self):
         d = pm([[0, "1/2", "1/3"], ["1/2", 0, "1/2"], ["1/3", "1/2", 0]])
-        # the level balls are derived from the grid by the first ball_relation
-        assert Pseudometric.__slots__ == ("carrier", "scale", "grid", "_balls")
+        # the ultrametric verdict is kept from the check, and the level balls
+        # are derived from the grid by the first ball_relation
+        assert Pseudometric.__slots__ == ("carrier", "scale", "grid", "_na", "_balls")
         assert not hasattr(d, "_balls")
         assert (d.scale, d.grid) == (6, ((0, 3, 2), (3, 0, 3), (2, 3, 0)))
         assert d.dist[0] == (0, Fraction(1, 2), Fraction(1, 3))
@@ -1019,6 +1021,65 @@ class TestDistinctCellParse:
         assert d.dist == ((0, half, Fraction(1, 3)), (half, 0, half), (Fraction(1, 3), half, 0))
 
 
+# A table of Fractions or mixed cells is parsed once per distinct cell object,
+# keyed by id; the all-string table of the same distances is the reference.
+
+
+def three_spellings(rng, dist):
+    """dist with shared Fraction objects, with a fresh Fraction per cell, and with mixed cells."""
+    shared = {}
+    shared_table = [[shared.setdefault(v, v) for v in row] for row in dist]
+    fresh = [[Fraction(v.numerator, v.denominator) for v in row] for row in dist]
+
+    def spelled(v):
+        k = rng.randint(1, 3)
+        return rng.choice([
+            Fraction(v), f"{v.numerator * k}/{v.denominator * k}",
+            v.numerator if v.denominator == 1 else f"{v.numerator}/{v.denominator}",
+        ])
+
+    mixed = [[spelled(v) for v in row] for row in dist]
+    return shared_table, fresh, mixed
+
+
+def seeded_fraction_tables(rng):
+    for _ in range(60):
+        n = rng.randint(1, 12)
+        yield [list(row) for row in random_ultrametric(rng, n).dist]
+        f = [Fraction(rng.randint(0, 20), rng.randint(1, 6)) for _ in range(n)]
+        yield [[abs(a - b) for b in f] for a in f]
+
+
+class TestParseByCellObject:
+    def test_three_spellings_give_the_string_table(self):
+        rng = random.Random(1989)
+        kinds = set()
+        for dist in seeded_fraction_tables(rng):
+            n = len(dist)
+            text = [[f"{v.numerator}/{v.denominator}" for v in row] for row in dist]
+            expected = pm(text, n=n)
+            shared, fresh, mixed = three_spellings(rng, dist)
+            assert len({id(v) for row in shared for v in row}) == len(set().union(*dist))
+            assert len({id(v) for row in fresh for v in row}) == n * n
+            kinds |= {type(v) for row in mixed for v in row}
+            for table in (shared, fresh, mixed):
+                d = pm(table, n=n)
+                assert (d.scale, d.grid) == (expected.scale, expected.grid)
+        assert kinds == {Fraction, int, str}
+
+    def test_a_true_cell_is_refused_by_its_cell(self):
+        rng = random.Random(1990)
+        for dist in seeded_fraction_tables(rng):
+            n = len(dist)
+            if n < 2:
+                continue
+            x, y = sorted(rng.sample(range(n), 2))
+            for table in three_spellings(rng, dist):
+                table[x][y] = True
+                with pytest.raises(ValueError, match=rf"field 'dist\[{x}\]\[{y}\]' is not an"):
+                    pm(table, n=n)
+
+
 # Ball relations are read from each table's level balls; these tests hold
 # them to the per-cell comparison of the oracle.
 
@@ -1189,3 +1250,119 @@ class TestPacking:
             lowered = [list(row) for row in grid]
             lowered[0][3] = lowered[3][0] = top - 1
             assert not is_na(Pseudometric._from_grid(Carrier(n), lowered, 1))
+
+
+# The ultrametric test packs its fields one bit narrower than the triangle
+# scan: a field must hold the largest entry m below its guard bit, and the
+# scan's sums need one bit more.  The widths differ for m from 2**(w-2) to
+# 2**(w-1) - 1, and both widths grow past w at m = 2**(w-1).
+
+
+def field_width(need):
+    return next(w for w in (8, 16, 32, 64) if need <= w)
+
+
+def dendrogram_grid(rng, n, heights):
+    """An ultrametric grid merging clusters at the ascending heights, the last at heights[-1]."""
+    grid = [[0] * n for _ in range(n)]
+    clusters = [[x] for x in range(n)]
+    levels = sorted(rng.choice(heights) for _ in range(n - 2)) + [heights[-1]]
+    for h in levels:
+        i, j = rng.sample(range(len(clusters)), 2)
+        for x in clusters[i]:
+            for y in clusters[j]:
+                grid[x][y] = grid[y][x] = h
+        clusters[i] = clusters[i] + clusters[j]
+        del clusters[j]
+    return grid
+
+
+class TestPackingWidths:
+    @pytest.mark.parametrize("w", [8, 16, 32])
+    @pytest.mark.parametrize("shift, less", [(2, 1), (2, 0), (1, 1), (1, 0)],
+                             ids=["2^(w-2)-1", "2^(w-2)", "2^(w-1)-1", "2^(w-1)"])
+    def test_verdicts_and_first_failures_match_the_per_triple_oracle(self, w, shift, less):
+        m = 2 ** (w - shift) - less
+        test_width, scan_width = field_width(m.bit_length() + 1), field_width((2 * m).bit_length() + 1)
+        assert (test_width, scan_width) == {
+            (2, 1): (w, w), (2, 0): (w, 2 * w), (1, 1): (w, 2 * w), (1, 0): (2 * w, 2 * w)
+        }[shift, less]
+        rng = random.Random(m)
+        outcomes = set()
+        for _ in range(60):
+            n = rng.randint(3, 9)
+            heights = [0, 1, m // 2, m - 1, m]
+            kind = rng.randrange(3)
+            if kind < 2:
+                grid = dendrogram_grid(rng, n, heights)
+                if kind == 1:  # one pair lowered: mostly a metric, no longer an ultrametric
+                    x, y = rng.sample(range(n), 2)
+                    grid[x][y] = grid[y][x] = rng.choice(heights[:-1])
+            else:
+                grid = [[0] * n for _ in range(n)]
+                for x in range(n):
+                    for y in range(x + 1, n):
+                        grid[x][y] = grid[y][x] = rng.choice(heights + [(m + 1) // 2])
+                grid[0][n - 1] = grid[n - 1][0] = m
+            values = set().union(*grid)
+            assert _pack(grid, values, 0)[0] == test_width and _pack(grid, values)[0] == scan_width
+            dist = [[Fraction(v) for v in row] for row in grid]
+            expected = reference_triangle_message(dist)
+            assert check_pseudometric(dist) == (expected is None)
+            if expected is None:
+                d = Pseudometric._from_grid(Carrier(n), grid, 1)
+                outcomes.add(is_na(d))
+                assert is_na(d) == check_strong_triangle(dist)
+            else:
+                outcomes.add(None)
+                with pytest.raises(ValueError) as exc:
+                    Pseudometric._from_grid(Carrier(n), grid, 1)
+                assert str(exc.value) == expected
+        assert outcomes == {True, False, None}
+
+
+# ball_relation finds each row's level ball by bisection; the oracle compares
+# every cell with the radius.
+
+
+def test_ball_relation_matches_the_oracle_at_thresholds_values_and_midpoints():
+    for d in seeded_tables():
+        values = d.values()
+        midpoints = [(a + b) / 2 for a, b in zip([Fraction(0)] + values, values)]
+        for eps in thresholds(d) + values + midpoints:
+            assert ball_relation(d, eps) == slow_ball_relation(d, eps), (d.to_json(), eps)
+
+
+# chain_pm writes each depth into the rows over the mask of the pairs in one
+# step and not the next; the per-pair loop it replaced is the reference.
+
+
+def per_pair_chain_grid(steps, n):
+    """(scale, grid) in lowest terms: 0 inside the last step, else scale // i, i the deepest step."""
+    k = len(steps)
+    scale = math.lcm(*range(1, k))
+    grid = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(x + 1, n):
+            if steps[-1].has(x, y):
+                continue
+            depth = 1
+            for i in range(k - 1, 0, -1):
+                if steps[i - 1].has(x, y):
+                    depth = i
+                    break
+            grid[x][y] = grid[y][x] = scale // depth
+    c = math.gcd(scale, *(v for row in grid for v in row))
+    return scale // c, tuple(tuple(v // c for v in row) for row in grid)
+
+
+def test_chain_pm_grid_matches_the_per_pair_loop():
+    rng = random.Random(616)
+    depths = set()
+    for _ in range(300):
+        n = rng.randint(1, 16)
+        steps = random_chain_steps(rng, n, rng.randint(0, 5))
+        depths.add(len(steps))
+        d = chain_pm(Chain(Carrier(n), steps))
+        assert (d.scale, d.grid) == per_pair_chain_grid(steps, n)
+    assert depths == {1, 2, 3, 4, 5, 6}

@@ -393,6 +393,31 @@ class TestDiagonalFromCover:
         cb = CoverBasis(C3, [Cover(C3, [[0, 1, 2]])])
         assert diagonal_from_cover_basis(cb).entourages == (FULL3,)
 
+    @staticmethod
+    def reference_rows(u):
+        """Each set ORed into the row of each of its members, one member at a time."""
+        rows = [0] * u.n
+        for m in u.sets:
+            for x in range(u.n):
+                if m >> x & 1:
+                    rows[x] |= m
+        return tuple(rows)
+
+    def test_rows_equal_the_per_member_reference_on_every_small_cover(self):
+        counts = []
+        for n in range(1, 5):
+            covers = list(enumerate_covers(n))
+            counts.append(len(covers))
+            for u in covers:
+                assert relation_from_cover(u).rows == self.reference_rows(u)
+        assert counts == [1, 5, 109, 32297]
+
+    def test_rows_equal_the_per_member_reference_on_seeded_covers(self):
+        rng = random.Random(1617)
+        for _ in range(300):
+            for u in random_cover_basis(rng, rng.randint(1, 16)).covers:
+                assert relation_from_cover(u).rows == self.reference_rows(u)
+
 
 class TestStarAndValidateCover:
     def test_partition_bases_valid(self):
