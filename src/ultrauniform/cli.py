@@ -23,7 +23,7 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
 # the largest value `gen` takes per option, checked before anything is built (README)
-GEN_CAPS = {"--size": 2000, "--modulus": 640, "--depth": 64}
+GEN_CAPS = {"--size": 2000, "--n": 2000, "--modulus": 640, "--depth": 64}
 
 
 def padic_valuation(x: int, p: int) -> int:
@@ -222,17 +222,23 @@ def _cmd_sweep(args) -> tuple[int, dict]:
     return (EXIT_OK if report.discrepancies == 0 else EXIT_FALSE), report.to_json()
 
 
+def _capped(option: str, value):
+    """value, refused when it is over the cap of `option` in GEN_CAPS."""
+    if value is not None and value > GEN_CAPS[option]:
+        raise ValueError(f"gen: {option} {value} is over its cap of {GEN_CAPS[option]}")
+    return value
+
+
 def _cmd_gen(args) -> tuple[int, dict]:
-    size = args.size if args.size is not None else args.n
-    for option, value in zip(GEN_CAPS, (size, args.modulus, args.depth)):
-        if value is not None and value > GEN_CAPS[option]:
-            raise ValueError(f"gen: {option} {value} is over its cap of {GEN_CAPS[option]}")
+    # each kind checks only the options it reads
     if args.kind == "padic":
+        size = _capped("--size", args.size) if args.size is not None else _capped("--n", args.n)
         if size is None:
             raise ValueError("gen padic needs --size (or --n)")
         return EXIT_OK, padic_pseudometric(args.p, size).to_json()
     if args.kind == "ideal-chain":
-        return EXIT_OK, ideal_chain_basis(args.modulus, args.ideal, args.depth).to_json()
+        modulus, depth = _capped("--modulus", args.modulus), _capped("--depth", args.depth)
+        return EXIT_OK, ideal_chain_basis(modulus, args.ideal, depth).to_json()
     raise ValueError(f"unknown generator {args.kind!r}")
 
 

@@ -6,7 +6,8 @@ shapes (str-keyed dicts, lists, tuples, ints, bools, None and strings) with
 a small writer of its own, byte for byte as
 `json.dumps(payload, indent=2, sort_keys=True)` would; that call selects
 the stdlib's pure-Python encoder, which is slower and leaves a reference
-cycle behind on every call.  Any other value is a TypeError.
+cycle behind on every call.  Any other value is a TypeError, save the
+str subclass cells of `_render_rows`.
 """
 
 from __future__ import annotations
@@ -52,8 +53,9 @@ def _render_rows(rows, nl: str):
     """Rendered rows, or None for rows that need the general renderer.
 
     Str rows (distance tables) are quoted once per distinct cell; another
-    cell fails the set, the quote or the type test.  Int rows of one length
-    (pairs) share one %-format after a type pass, as a set would hide a bool.
+    cell fails the set, the quote or the type test of the distinct cells (a
+    str subclass cell equal to a str cell renders as json.dumps renders it).
+    Int rows of one length (pairs) share one %-format after a type pass.
     """
     inner = nl + "  "
     sep = "," + inner

@@ -9,16 +9,16 @@ grids directly; `Fraction`s appear only at the boundary: the public
 constructor parses them, and `dist`, `d()`, `values()` and `to_json()`
 build `Fraction`s or "p/q" strings from the grid on each call, once per
 distinct grid value; the constructor parses each distinct string or int
-cell, and each distinct cell object of any other table, once.  A table is
-checked on its grid, with each row packed into one int, in fields of 8, 16,
-32 or 64 bits so that a row packs at C speed from one `bytes` or `array`
-(only larger entries are packed through a string): a table with at most n
-distinct values is first tested for the strong triangle inequality, one
-big-int expression per distinct value of each row, and passes as an
-ultrametric (hence a pseudo-metric).  Only a table with more values, or one
-that fails there, runs the triangle scan of one big-int expression per pair
-of points, which names its first failing (z, x, y); its fields hold one bit
-more than the test's.  The table keeps the test's verdict for `is_na`.
+cell once.  A table is checked on its grid, with each row packed into one
+int, in fields of 8, 16, 32 or 64 bits so that a row packs at C speed from
+one `bytes` or `array` (only larger entries are packed through a string): a
+table with at most n distinct values is first tested for the strong
+triangle inequality, one big-int expression per distinct value of each row,
+and passes as an ultrametric (hence a pseudo-metric).  Only a table with
+more values, or one that fails there, runs the triangle scan of one big-int
+expression per pair of points, which names its first failing (z, x, y); the
+scan's fields may need one bit more than the test's, and the rows are packed
+again only then.  The table keeps the test's verdict for `is_na`.
 
 Ball relations are read from the table's level balls: per point, its
 distinct distances in ascending order and the ball of each as a bitmask,
@@ -43,6 +43,7 @@ from .core import (
     Carrier,
     CarrierMismatch,
     Relation,
+    bits,
     is_equivalence,
     mask_of,
     same_carrier,
@@ -117,8 +118,8 @@ def _pack(grid: Sequence[Sequence[int]], values: set[int], carry: int = 1) -> tu
                     row.byteswap()
             return w, [int.from_bytes(row, "little") for row in rows]
     spec = f"0{need}b"
-    bits = {v: format(v, spec) for v in values}
-    return need, [int("".join(map(bits.__getitem__, reversed(row))), 2) for row in grid]
+    digits = {v: format(v, spec) for v in values}
+    return need, [int("".join(map(digits.__getitem__, reversed(row))), 2) for row in grid]
 
 
 def _is_ultrametric(grid: Sequence[Sequence[int]], w: int, packed: Sequence[int]) -> bool:
@@ -199,14 +200,15 @@ class Pseudometric:
         try:
             if kinds <= {str, int}:
                 # one parse per distinct cell: an exact str or int equals no cell
-                # of the other kind, while True == 1 would share 1's parse
+                # of the other kind, while True == 1 would share 1's parse (and
+                # a Fraction hashes in Python, slower than parsing it again)
+                ratio = {v: _ratio(v) for v in set().union(*dist)}
                 cells = dist
-                distinct = set().union(*dist)
-                ratio = dict(zip(distinct, map(_ratio, distinct)))
-            else:  # one parse per distinct cell object, keyed by id: a Fraction hashes in Python
-                cells = [list(map(id, row)) for row in dist]
-                objects = dict(zip(chain.from_iterable(cells), chain.from_iterable(dist)))
-                ratio = dict(zip(objects, map(_ratio, objects.values())))
+            else:  # each cell becomes a (p, q) pair, and equal pairs hash alike in C
+                as_ratio = Fraction.as_integer_ratio if kinds == {Fraction} else _ratio
+                cells = [list(map(as_ratio, row)) for row in dist]
+                distinct = set(chain.from_iterable(cells))
+                ratio = dict(zip(distinct, distinct))
             scale = math.lcm(*{q for _, q in ratio.values()})
             value = {v: p * (scale // q) for v, (p, q) in ratio.items()}
             grid = [tuple(map(value.__getitem__, row)) for row in cells]
@@ -246,10 +248,14 @@ class Pseudometric:
                     if grid[x][y] < 0:
                         raise ValueError(f"negative distance at ({x},{y})")
         # an ultrametric on n points takes at most n - 1 positive values, and
-        # is a pseudometric; any other table is decided by the triangle scan
-        self._na = len(values) <= n and _is_ultrametric(grid, *_pack(grid, values, 0))
+        # is a pseudometric; any other table is decided by the triangle scan,
+        # whose sums of two entries may need fields one bit wider than the test's
+        w, packed = _pack(grid, values, int(len(values) > n))
+        self._na = len(values) <= n and _is_ultrametric(grid, w, packed)
         if not self._na:
-            failure = _triangle_failure(grid, *_pack(grid, values))
+            if (2 * max(values)).bit_length() >= w:
+                w, packed = _pack(grid, values)
+            failure = _triangle_failure(grid, w, packed)
             if failure is not None:
                 z, x, y = failure
                 raise ValueError(f"triangle inequality fails at ({x},{y}) via {z}")
@@ -521,10 +527,8 @@ def chain_pm(kappa: Chain) -> Pseudometric:
     for i in range(1, k):  # the pairs in step i but not in step i + 1 are at depth i
         v = scale // i
         for row, inside, deeper in zip(grid, rows[i - 1], rows[i]):
-            rest = inside & ~deeper
-            while rest:  # each bit of the mask, peeled here: faster than `bits`
-                row[(low := rest & -rest).bit_length() - 1] = v
-                rest ^= low
+            for y in bits(inside & ~deeper):
+                row[y] = v
     return Pseudometric._from_grid(kappa.carrier, grid, scale)
 
 

@@ -346,13 +346,11 @@ def cover_from_relation(d: Relation) -> Cover:
 
 
 def relation_from_cover(u: Cover) -> Relation:
-    """Pairs lying together in some set of the cover: row x is the OR of the sets holding x."""
+    """Pairs lying together in some set of the cover."""
     rows = [0] * u.n
     for m in u.sets:
-        rest = m
-        while rest:  # each member, peeled here: faster than the `bits` generator
-            rows[(low := rest & -rest).bit_length() - 1] |= m
-            rest ^= low
+        for x in bits(m):
+            rows[x] |= m
     return Relation._trusted(u.carrier, tuple(rows))
 
 

@@ -137,11 +137,21 @@ class TestGenCaps:
         ("ideal-chain", "--depth"),
     ])
     def test_one_over_a_cap_exits_two_naming_it(self, capsys, kind, option):
-        capped = "--size" if option == "--n" else option
-        cap = GEN_CAPS[capped]
+        cap = GEN_CAPS[option]
         code, obj = run(capsys, "gen", kind, option, str(cap + 1))
         assert code == 2
-        assert obj == {"error": f"gen: {capped} {cap + 1} is over its cap of {cap}"}
+        assert obj == {"error": f"gen: {option} {cap + 1} is over its cap of {cap}"}
+
+    @pytest.mark.parametrize("kind, args, option", [
+        ("padic", ["--size", "3"], "--modulus"), ("padic", ["--size", "3"], "--depth"),
+        ("padic", ["--size", "3"], "--n"), ("ideal-chain", [], "--size"),
+        ("ideal-chain", [], "--n"),
+    ])
+    def test_an_option_the_kind_does_not_read_is_not_capped(self, capsys, kind, args, option):
+        code, obj = run(capsys, "gen", kind, *args, option, str(GEN_CAPS[option] + 1))
+        assert code == 0
+        expected = run(capsys, "gen", kind, *args)
+        assert (code, obj) == expected
 
 
 class TestTopoCheck:

@@ -270,6 +270,12 @@ def test_dumps_refuses_values_outside_the_library_shapes(payload):
         dumps(payload)
 
 
+def test_a_str_subclass_cell_equal_to_a_str_cell_of_a_table_renders_as_the_stdlib_does():
+    # the type test sees the distinct cells, where the subclass cell is the str cell
+    for payload in ([["a", Text("a")]], [["0", "1/2"], [Text("1/2"), "0"]]):
+        assert dumps(payload) == reference(payload)
+
+
 def test_dumps_leaves_no_garbage():
     payloads = [s.to_json() for s in readme_structures()]
     gc.collect()

@@ -1021,8 +1021,9 @@ class TestDistinctCellParse:
         assert d.dist == ((0, half, Fraction(1, 3)), (half, 0, half), (Fraction(1, 3), half, 0))
 
 
-# A table of Fractions or mixed cells is parsed once per distinct cell object,
-# keyed by id; the all-string table of the same distances is the reference.
+# A table of Fractions or mixed cells is parsed cell by cell, whether its cells
+# share Fraction objects or not; the all-string table of the same distances is
+# the reference.
 
 
 def three_spellings(rng, dist):
@@ -1050,7 +1051,7 @@ def seeded_fraction_tables(rng):
         yield [[abs(a - b) for b in f] for a in f]
 
 
-class TestParseByCellObject:
+class TestFractionAndMixedTables:
     def test_three_spellings_give_the_string_table(self):
         rng = random.Random(1989)
         kinds = set()
