@@ -180,7 +180,7 @@ class Relation:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Relation":
-        n = _expect_int(obj, "n")
+        n = _expect_n(obj)
         carrier = Carrier(n)
         pairs = obj.get("pairs")
         if not isinstance(pairs, list):
@@ -299,7 +299,7 @@ class Partition:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Partition":
-        n = _expect_int(obj, "n")
+        n = _expect_n(obj)
         return cls(Carrier(n), _expect_point_lists(obj.get("blocks"), n, "blocks"))
 
     def __eq__(self, other) -> bool:
@@ -336,11 +336,16 @@ def refines(fine, coarse) -> bool:
     )
 
 
-def _expect_int(obj: dict, field: str) -> int:
-    value = obj.get(field)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"field '{field}' must be an integer")
-    return value
+def _expect_n(obj: dict) -> int:
+    """The integer obj["n"], refused over `jsonio.N_CAP` before anything is built."""
+    from .jsonio import N_CAP
+
+    n = obj.get("n")
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError("field 'n' must be an integer")
+    if n > N_CAP:
+        raise ValueError(f"field 'n' {n} is over its cap of {N_CAP}")
+    return n
 
 
 def _expect_point(value, n: int, field: str) -> int:

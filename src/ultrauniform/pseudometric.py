@@ -3,22 +3,22 @@
 Distances are exact rationals; every comparison is exact, so strict ball
 thresholds never suffer float ties.  A table is stored only as an integer
 grid over one common denominator (`scale`), in lowest terms: `scale` is the
-lcm of the reduced denominators, so equal tables have equal grids.  The
-library's own builders (`sup_pm`, `chain_pm`, the p-adic generator) write
-grids directly; `Fraction`s appear only at the boundary: the public
-constructor parses them, and `dist`, `d()`, `values()` and `to_json()`
-build `Fraction`s or "p/q" strings from the grid on each call, once per
-distinct grid value; the constructor parses each distinct string or int
-cell once.  A table is checked on its grid, with each row packed into one
-int, in fields of 8, 16, 32 or 64 bits so that a row packs at C speed from
-one `bytes` or `array` (only larger entries are packed through a string): a
-table with at most n distinct values is first tested for the strong
-triangle inequality, one big-int expression per distinct value of each row,
-and passes as an ultrametric (hence a pseudo-metric).  Only a table with
-more values, or one that fails there, runs the triangle scan of one big-int
-expression per pair of points, which names its first failing (z, x, y); the
-scan's fields may need one bit more than the test's, and the rows are packed
-again only then.  The table keeps the test's verdict for `is_na`.
+lcm of the reduced denominators, so equal tables have equal grids.
+`Fraction`s appear only at the boundary: the public constructor parses each
+distinct string or int cell once, and `dist`, `d()`, `values()` and
+`to_json()` build `Fraction`s or "p/q" strings from the grid on each call,
+once per distinct grid value.  A parsed table is checked on its grid, with
+each row packed into one int, in fields of 8, 16, 32 or 64 bits so that a
+row packs at C speed from one `bytes` or `array` (only larger entries are
+packed through a string): a table with at most n distinct values is first
+tested for the strong triangle inequality, one big-int expression per
+distinct value of each row, and passes as an ultrametric (hence a
+pseudo-metric).  Only a table with more values, or one that fails there,
+runs the triangle scan of one big-int expression per pair of points, which
+names its first failing (z, x, y); the scan's fields may need one bit more
+than the test's, and the rows are packed again only then.  The table keeps
+the test's verdict for `is_na`.  Builders (`sup_pm`, `chain_pm`, the p-adic
+table) write grids directly and skip the tests they prove (`_from_grid`).
 
 Ball relations are read from the table's level balls: per point, its
 distinct distances in ascending order and the ball of each as a bitmask,
@@ -221,14 +221,19 @@ class Pseudometric:
 
     @classmethod
     def _from_grid(
-        cls, carrier: Carrier, grid: Sequence[Sequence[int]], scale: int
+        cls, carrier: Carrier, grid: Sequence[Sequence[int]], scale: int, proved: str | None = None
     ) -> "Pseudometric":
-        """The table with distances grid[x][y] / scale, checked like any other."""
+        """The table grid[x][y] / scale, tested only for what its builder's `proved` leaves open.
+
+        "ultrametric" leaves nothing: a level of `chain_pm` is a step of its chain, a max of
+        ultrametrics is one (`sup_pm`), and v_p(x - z) >= min(v_p(x - y), v_p(y - z)) (p-adic).
+        "pseudometric" (a max of pseudo-metrics is one) leaves the test for `is_na`; None, all.
+        """
         d = cls.__new__(cls)
-        d._store(carrier, grid, scale)
+        d._store(carrier, grid, scale, proved)
         return d
 
-    def _store(self, carrier: Carrier, grid: Sequence[Sequence[int]], scale: int) -> None:
+    def _store(self, carrier: Carrier, grid: Sequence[Sequence[int]], scale: int, proved=None) -> None:
         values = set().union(*grid)
         # lowest terms: afterwards scale is the lcm of the reduced denominators
         c = math.gcd(scale, *values)
@@ -238,7 +243,7 @@ class Pseudometric:
         grid = tuple(map(tuple, grid))
         n = carrier.n
         diagonal = map(tuple.__getitem__, grid, range(n))
-        if min(values) < 0 or any(diagonal) or grid != tuple(zip(*grid)):
+        if not proved and (min(values) < 0 or any(diagonal) or grid != tuple(zip(*grid))):
             for x in range(n):  # report the first bad cell
                 if grid[x][x] != 0:
                     raise ValueError(f"nonzero self-distance at point {x}")
@@ -247,12 +252,14 @@ class Pseudometric:
                         raise ValueError(f"asymmetric distances at ({x},{y})")
                     if grid[x][y] < 0:
                         raise ValueError(f"negative distance at ({x},{y})")
-        # an ultrametric on n points takes at most n - 1 positive values, and
-        # is a pseudometric; any other table is decided by the triangle scan,
-        # whose sums of two entries may need fields one bit wider than the test's
-        w, packed = _pack(grid, values, int(len(values) > n))
-        self._na = len(values) <= n and _is_ultrametric(grid, w, packed)
-        if not self._na:
+        # `proved` skips what it settles; else an ultrametric on n points takes at
+        # most n - 1 positive values and is a pseudometric, and any other table is
+        # decided by the triangle scan, whose sums may need fields one bit wider
+        self._na = proved == "ultrametric"
+        if not self._na and (len(values) <= n or not proved):
+            w, packed = _pack(grid, values, int(len(values) > n))
+            self._na = len(values) <= n and _is_ultrametric(grid, w, packed)
+        if not (self._na or proved):
             if (2 * max(values)).bit_length() >= w:
                 w, packed = _pack(grid, values)
             failure = _triangle_failure(grid, w, packed)
@@ -293,9 +300,9 @@ class Pseudometric:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Pseudometric":
-        from .core import _expect_int
+        from .core import _expect_n
 
-        carrier = Carrier(_expect_int(obj, "n"))
+        carrier = Carrier(_expect_n(obj))
         dist = obj.get("dist")
         if not isinstance(dist, list) or not all(isinstance(r, list) for r in dist):
             raise ValueError("field 'dist' must be a list of rows of rationals")
@@ -319,9 +326,9 @@ class Pseudometric:
 def is_na(d: Pseudometric) -> bool:
     """Strong triangle inequality d(x,y) <= max(d(x,z), d(z,y)) on all triples.
 
-    The constructor's ultrametric test (`_is_ultrametric`) decided it, and
-    the table keeps the verdict; a table with more than n distinct values is
-    no ultrametric.
+    The ultrametric test (`_is_ultrametric`) or the builder's proof decided
+    it, and the table keeps the verdict; a table with more than n distinct
+    values is no ultrametric.
     """
     return d._na
 
@@ -335,7 +342,8 @@ def sup_pm(ds: Sequence[Pseudometric]) -> Pseudometric:
     grids = [_grid_at(d, scale) for d in ds]
     # the first grid twice, so that max takes at least two rows for one metric
     grid = [tuple(map(max, *rows)) for rows in zip(grids[0], *grids)]
-    return Pseudometric._from_grid(carrier, grid, scale)
+    proved = "ultrametric" if all(d._na for d in ds) else "pseudometric"
+    return Pseudometric._from_grid(carrier, grid, scale, proved)
 
 
 def _grid_at(d: Pseudometric, scale: int) -> tuple[tuple[int, ...], ...]:
@@ -413,9 +421,9 @@ class PseudometricSystem:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PseudometricSystem":
-        from .core import _expect_int, _expect_members
+        from .core import _expect_members, _expect_n
 
-        carrier = Carrier(_expect_int(obj, "n"))
+        carrier = Carrier(_expect_n(obj))
         return cls(carrier, _expect_members(obj, "metrics", "pseudo-metric", Pseudometric.from_json))
 
     def __eq__(self, other) -> bool:
@@ -496,9 +504,9 @@ class Chain:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Chain":
-        from .core import _expect_int, _expect_members
+        from .core import _expect_members, _expect_n
 
-        carrier = Carrier(_expect_int(obj, "n"))
+        carrier = Carrier(_expect_n(obj))
         return cls(carrier, _expect_members(obj, "steps", "relation", Relation.from_json))
 
     def __eq__(self, other) -> bool:
@@ -529,7 +537,7 @@ def chain_pm(kappa: Chain) -> Pseudometric:
         for row, inside, deeper in zip(grid, rows[i - 1], rows[i]):
             for y in bits(inside & ~deeper):
                 row[y] = v
-    return Pseudometric._from_grid(kappa.carrier, grid, scale)
+    return Pseudometric._from_grid(kappa.carrier, grid, scale, "ultrametric")
 
 
 def system_from_na_basis(b: DiagonalBasis) -> PseudometricSystem:

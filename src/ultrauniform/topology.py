@@ -54,9 +54,9 @@ class FiniteTopology:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FiniteTopology":
-        from .core import _expect_int, _expect_point_lists
+        from .core import _expect_n, _expect_point_lists
 
-        n = _expect_int(obj, "n")
+        n = _expect_n(obj)
         return cls(Carrier(n), _expect_point_lists(obj.get("opens"), n, "opens"))
 
     def __eq__(self, other) -> bool:

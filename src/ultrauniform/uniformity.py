@@ -99,9 +99,9 @@ class DiagonalBasis:
 
     @classmethod
     def from_json(cls, obj: dict) -> "DiagonalBasis":
-        from .core import _expect_int, _expect_members
+        from .core import _expect_members, _expect_n
 
-        carrier = Carrier(_expect_int(obj, "n"))
+        carrier = Carrier(_expect_n(obj))
         rels = _expect_members(obj, "entourages", "relation", Relation.from_json)
         for k, rel in enumerate(rels):
             if rel.carrier != carrier:
@@ -207,9 +207,9 @@ class CoverBasis:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CoverBasis":
-        from .core import _expect_int, _expect_point_lists
+        from .core import _expect_n, _expect_point_lists
 
-        n = _expect_int(obj, "n")
+        n = _expect_n(obj)
         carrier = Carrier(n)
         raw = obj.get("covers")
         if not isinstance(raw, list) or not raw:

@@ -1,5 +1,6 @@
 """The command-line surface: verbs, exit codes, and determinism."""
 
+import hashlib
 import importlib
 import io
 import json
@@ -27,7 +28,7 @@ from ultrauniform.cli import (
     padic_valuation,
 )
 from ultrauniform.core import Carrier, Relation, ValidationError, is_equivalence
-from ultrauniform.jsonio import _DETECTORS, dumps
+from ultrauniform.jsonio import _DETECTORS, N_CAP, dumps
 from ultrauniform.oracle import check_strong_triangle, eq_closure
 from ultrauniform.pseudometric import Pseudometric, PseudometricSystem, basis_from_system
 from ultrauniform.topology import sierpinski_topology
@@ -152,6 +153,46 @@ class TestGenCaps:
         assert code == 0
         expected = run(capsys, "gen", kind, *args)
         assert (code, obj) == expected
+
+
+class TestJsonSizeCap:
+    """One helper reads every JSON structure's "n" and refuses one over N_CAP."""
+
+    over = N_CAP + 1
+    message = f"field 'n' {N_CAP + 1} is over its cap of {N_CAP}"
+
+    def test_every_gen_output_reads_back(self):
+        assert N_CAP >= max(GEN_CAPS["--size"], GEN_CAPS["--n"], GEN_CAPS["--modulus"])
+
+    def test_the_entry_point_reads_the_cap_without_loading_cli_again(self):
+        # run as `python -m`, cli is __main__, so reading the cap from cli would import it twice
+        probe = fresh_python("-X", "importtime", "-m", "ultrauniform.cli", "validate", "--in",
+                             BASIS_JSON)
+        assert probe.returncode == 0, probe.stderr
+        assert "| ultrauniform.core\n" in probe.stderr
+        assert "| ultrauniform.cli\n" not in probe.stderr
+
+    def test_a_structure_at_the_cap_is_read(self, capsys):
+        assert run(capsys, "validate", "--in", json.dumps({"n": N_CAP, "pairs": []})) == (
+            0, {"valid": True, "violations": []}
+        )
+
+    @pytest.mark.parametrize("field, value", [
+        ("pairs", []), ("blocks", [[0]]), ("entourages", [{"n": 1, "pairs": [[0, 0]]}]),
+        ("covers", [[[0]]]), ("opens", [[], [0]]), ("dist", [[0]]),
+        ("metrics", [{"n": 1, "dist": [[0]]}]), ("steps", [{"n": 1, "pairs": [[0, 0]]}]),
+    ])
+    def test_one_over_the_cap_exits_two_naming_it(self, capsys, field, value):
+        code, obj = run(capsys, "validate", "--in", json.dumps({"n": self.over, field: value}))
+        assert (code, obj) == (2, {"error": self.message})
+
+    @pytest.mark.parametrize("field, member", [
+        ("entourages", {"pairs": []}), ("metrics", {"dist": []}), ("steps", {"pairs": []}),
+    ])
+    def test_a_member_over_the_cap_is_named(self, capsys, field, member):
+        payload = {"n": 1, field: [{"n": self.over, **member}]}
+        code, obj = run(capsys, "validate", "--in", json.dumps(payload))
+        assert (code, obj) == (2, {"error": f"{field}[0]: {self.message}"})
 
 
 class TestTopoCheck:
@@ -469,6 +510,40 @@ class TestMetrizeAndSystem:
         assert code == 0
         system = PseudometricSystem.from_json(obj)
         assert uniformity_equal(basis_from_system(system), DiagonalBasis(C3, [E01]))
+
+
+CONGRUENCE_BASIS_JSON = json.dumps(
+    {"n": 12, "entourages": [
+        {"n": 12, "pairs": [[x, y] for x in range(12) for y in range(12) if (x - y) % m == 0]}
+        for m in (2, 4, 12)
+    ] + [{"n": 12, "pairs": [[x, x] for x in range(12)] + [[0, 1]]}]}
+)
+
+
+class TestMetricOutputIsPinned:
+    """Exit code and stdout sha256 of the verbs that build distance tables, taken before
+    those tables skipped the tests their builders prove."""
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["gen", "padic", "--p", "2", "--size", "64"],
+         "8d76f5e04a095b45214b985b497e3e05ed51367814b69e2253c13ddb7c8510ed"),
+        (["gen", "padic", "--p", "3", "--size", "128"],
+         "51d7c3b5722a6ac98ff59859f8a3bb4737e9dc8a881596e6b095d903d78f0a98"),
+        (["gen", "padic", "--p", "5", "--size", "100"],
+         "c7b6cfe77196eb89e14ed857afc14f57c3c457cacbf7851b584afe039416b707"),
+        (["metrize", "--in", NA_BASIS_JSON],
+         "e619c26c5fc5197cfa442bfe62fa6fa4c55ceeb8d7c71456fc212b511477cea1"),
+        (["metrize", "--in", CONGRUENCE_BASIS_JSON],
+         "fd4ba1593241068e1dabbcdfb0318197245d292f92addba7083a6f6cd864570a"),
+        (["pm-system", "--in", NA_BASIS_JSON],
+         "7b432ecc10dd5b98a3845ec27c12506c2b230e0137c37e73255046f3d651ad6e"),
+        (["pm-system", "--in", CONGRUENCE_BASIS_JSON],
+         "b09c6f61e7aa299ef7383d524fccdde0bd7e43badc97921dbbd0516a4b073b8a"),
+    ], ids=["padic 2 64", "padic 3 128", "padic 5 100", "metrize na", "metrize congruences",
+            "pm-system na", "pm-system congruences"])
+    def test_stdout_digest(self, capsys, argv, digest):
+        assert main(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 class TestUniformize:

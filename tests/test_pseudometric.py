@@ -1367,3 +1367,144 @@ def test_chain_pm_grid_matches_the_per_pair_loop():
         d = chain_pm(Chain(Carrier(n), steps))
         assert (d.scale, d.grid) == per_pair_chain_grid(steps, n)
     assert depths == {1, 2, 3, 4, 5, 6}
+
+
+# The library's builders pass `_from_grid` what they prove: "ultrametric" for
+# chain_pm, a sup of ultrametrics and the p-adic table, which skips every
+# test; "pseudometric" for a sup with another input, which keeps only the
+# ultrametric test that decides is_na.  Rebuilt through the public
+# constructor, which tests everything, each table must come back the same.
+
+
+def assert_equals_its_public_rebuild(d):
+    rebuilt = Pseudometric(d.carrier, d.dist)
+    assert (rebuilt.grid, rebuilt.scale, is_na(rebuilt)) == (d.grid, d.scale, is_na(d))
+    assert rebuilt == d and hash(rebuilt) == hash(d)
+    for eps in thresholds(d):
+        assert ball_relation(d, eps) == ball_relation(rebuilt, eps) == slow_ball_relation(d, eps)
+
+
+def assert_builder_table_agrees_with_the_oracle(d):
+    assert_equals_its_public_rebuild(d)
+    assert is_na(d) == check_strong_triangle(d.dist)
+
+
+class TestBuilderTablesEqualTheirRebuild:
+    def test_sup_of_ultrametrics(self):
+        rng = random.Random(2101)
+        for _ in range(150):
+            n = rng.randint(1, 12)
+            d = sup_pm([random_ultrametric(rng, n) for _ in range(rng.randint(1, 3))])
+            assert is_na(d)
+            assert_builder_table_agrees_with_the_oracle(d)
+
+    def test_sup_with_a_line_metric_leaves_is_na_to_decide(self):
+        rng = random.Random(2102)
+        verdicts = set()
+        for _ in range(150):
+            n = rng.randint(1, 12)
+            ds = [random_ultrametric(rng, n) for _ in range(rng.randint(0, 2))]
+            f = [Fraction(rng.randint(0, 9), rng.randint(1, 4)) for _ in range(n)]
+            ds.insert(rng.randint(0, len(ds)), line_pm(Carrier(n), f))  # a fresh Fraction per cell
+            d = sup_pm(ds)
+            verdicts.add(is_na(d))
+            assert_builder_table_agrees_with_the_oracle(d)
+        assert verdicts == {True, False}
+
+    def test_chain_pm_metrize_and_system_from_na_basis(self):
+        from ultrauniform.oracle import random_valid_basis
+
+        rng = random.Random(2103)
+        for _ in range(150):
+            n = rng.randint(1, 12)
+            steps = random_chain_steps(rng, n, rng.randint(0, 5))
+            assert_builder_table_agrees_with_the_oracle(chain_pm(Chain(Carrier(n), steps)))
+            basis = random_valid_basis(rng, n)
+            assert_builder_table_agrees_with_the_oracle(metrize(basis.entourages))
+            (d,) = system_from_na_basis(basis).metrics
+            assert_builder_table_agrees_with_the_oracle(d)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_padic_tables_of_every_size_to_130(self, p):
+        from ultrauniform.cli import padic_pseudometric
+
+        for size in range(1, 131):
+            d = padic_pseudometric(p, size)
+            assert is_na(d)
+            # the per-triple oracle is cubic in the size; the rebuild's own
+            # test, held to that oracle above, decides the larger tables
+            if size <= 24:
+                assert_builder_table_agrees_with_the_oracle(d)
+            else:
+                assert_equals_its_public_rebuild(d)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts of the calls to the ultrametric test and the triangle scan."""
+    import ultrauniform.pseudometric as module
+
+    calls = {"_is_ultrametric": 0, "_triangle_failure": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(module, name)):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestProvedTablesSkipTheirTests:
+    def test_sup_of_ultrametrics_runs_neither(self, kernel_calls):
+        rng = random.Random(2111)
+        inputs = [[random_ultrametric(rng, n) for _ in range(2)] for n in range(1, 13)]
+        kernel_calls.update(dict.fromkeys(kernel_calls, 0))
+        for ds in inputs:
+            sup_pm(ds)
+        assert kernel_calls == {"_is_ultrametric": 0, "_triangle_failure": 0}
+
+    def test_chains_and_padic_tables_run_neither(self, kernel_calls):
+        from ultrauniform.cli import padic_pseudometric
+        from ultrauniform.oracle import random_valid_basis
+
+        rng = random.Random(2112)
+        for n in range(1, 13):
+            chain_pm(Chain(Carrier(n), random_chain_steps(rng, n, 3)))
+            basis = random_valid_basis(rng, n)
+            metrize(basis.entourages)
+            system_from_na_basis(basis)
+        for p, size in [(2, 64), (3, 128), (5, 100), (7, 49)]:
+            padic_pseudometric(p, size)
+        assert kernel_calls == {"_is_ultrametric": 0, "_triangle_failure": 0}
+
+    def test_sup_with_a_line_metric_runs_no_triangle_scan(self, kernel_calls):
+        rng = random.Random(2113)
+        inputs = []
+        for n in range(2, 13):
+            line = line_pm(Carrier(n), [rng.randint(0, 2) for _ in range(n)])  # values 0, 1, 2
+            inputs += [[line], [line, random_ultrametric(rng, n)]]
+        kernel_calls.update(dict.fromkeys(kernel_calls, 0))  # the inputs' own tests ran at build
+        tested = 0
+        for ds in inputs:
+            d = sup_pm(ds)
+            # the test runs only on a sup with a non-ultrametric input whose values fit one
+            fits = len(set().union(*d.grid)) <= d.n
+            tested += not all(map(is_na, ds)) and fits
+            assert kernel_calls["_is_ultrametric"] == tested
+        assert kernel_calls["_triangle_failure"] == 0 < tested
+
+    @pytest.mark.parametrize(
+        "table, calls",
+        [
+            ([[0, 1, 2], [1, 0, 2], [2, 2, 0]], (1, 0)),  # an ultrametric: the test passes it
+            ([[0, 1, 2], [1, 0, 1], [2, 1, 0]], (1, 1)),  # a metric with n values: both run
+            ([[0, 1, 3], [1, 0, 2], [3, 2, 0]], (0, 1)),  # more values than points: the scan
+            ([[0, 1, 3], [1, 0, 1], [3, 1, 0]], (1, 1)),  # a failing table: both, then refused
+        ],
+    )
+    def test_the_public_constructor_runs_them_as_before(self, kernel_calls, table, calls):
+        try:
+            pm(table)
+        except ValueError as exc:
+            assert str(exc) == "triangle inequality fails at (0,2) via 1"
+        assert (kernel_calls["_is_ultrametric"], kernel_calls["_triangle_failure"]) == calls
