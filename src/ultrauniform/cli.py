@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from .jsonio import N_CAP, dumps, structure_from_json
+from .jsonio import dumps, structure_from_json
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -23,7 +23,7 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
 # the largest value `gen` takes per option, checked before anything is built (README)
-GEN_CAPS = {"--size": N_CAP, "--n": N_CAP, "--modulus": 640, "--depth": 64}
+GEN_CAPS = {"--size": 2000, "--n": 2000, "--modulus": 640, "--depth": 64}
 
 
 def padic_valuation(x: int, p: int) -> int:
@@ -54,7 +54,7 @@ def padic_pseudometric(p: int, size: int) -> Pseudometric:
         scale *= p
     by_gap = [0] + [scale // p ** padic_valuation(gap, p) for gap in range(1, size)]
     grid = [by_gap[x:0:-1] + by_gap[: size - x] for x in range(size)]
-    return Pseudometric._from_grid(Carrier(size), grid, scale, "ultrametric")
+    return Pseudometric._from_grid(Carrier(size), grid, scale, na=True)
 
 
 def congruence_relation(modulus: int, step: int) -> Relation:

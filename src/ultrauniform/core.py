@@ -336,10 +336,11 @@ def refines(fine, coarse) -> bool:
     )
 
 
-def _expect_n(obj: dict) -> int:
-    """The integer obj["n"], refused over `jsonio.N_CAP` before anything is built."""
-    from .jsonio import N_CAP
+N_CAP = 2000  # the largest "n" a JSON structure may declare, at least gen's --size cap
 
+
+def _expect_n(obj: dict) -> int:
+    """The integer obj["n"], refused over N_CAP before anything is built."""
     n = obj.get("n")
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError("field 'n' must be an integer")

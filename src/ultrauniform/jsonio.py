@@ -17,8 +17,6 @@ from importlib import import_module
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 
-N_CAP = 2000  # the largest "n" a structure may declare, refused before anything is built
-
 # discriminating field -> (layer module, class), tried in this order
 _DETECTORS = (
     ("entourages", "uniformity", "DiagonalBasis"),

@@ -17,8 +17,8 @@ pseudo-metric).  Only a table with more values, or one that fails there,
 runs the triangle scan of one big-int expression per pair of points, which
 names its first failing (z, x, y); the scan's fields may need one bit more
 than the test's, and the rows are packed again only then.  The table keeps
-the test's verdict for `is_na`.  Builders (`sup_pm`, `chain_pm`, the p-adic
-table) write grids directly and skip the tests they prove (`_from_grid`).
+the test's verdict for `is_na`.  Builders write grids directly; `chain_pm`,
+a `sup_pm` of ultrametrics and the p-adic table skip every test (`_from_grid`).
 
 Ball relations are read from the table's level balls: per point, its
 distinct distances in ascending order and the ball of each as a bitmask,
@@ -221,19 +221,20 @@ class Pseudometric:
 
     @classmethod
     def _from_grid(
-        cls, carrier: Carrier, grid: Sequence[Sequence[int]], scale: int, proved: str | None = None
+        cls, carrier: Carrier, grid: Sequence[Sequence[int]], scale: int, na: bool = False
     ) -> "Pseudometric":
-        """The table grid[x][y] / scale, tested only for what its builder's `proved` leaves open.
+        """The table grid[x][y] / scale; `na=True` skips every test, for its builder proves it.
 
-        "ultrametric" leaves nothing: a level of `chain_pm` is a step of its chain, a max of
-        ultrametrics is one (`sup_pm`), and v_p(x - z) >= min(v_p(x - y), v_p(y - z)) (p-adic).
-        "pseudometric" (a max of pseudo-metrics is one) leaves the test for `is_na`; None, all.
+        A level of `chain_pm` is a step of its chain, a max of ultrametrics is one (`sup_pm`),
+        and v_p(x - z) >= min(v_p(x - y), v_p(y - z)) (the p-adic table).  Else it is tested.
         """
         d = cls.__new__(cls)
-        d._store(carrier, grid, scale, proved)
+        d._store(carrier, grid, scale, na)
         return d
 
-    def _store(self, carrier: Carrier, grid: Sequence[Sequence[int]], scale: int, proved=None) -> None:
+    def _store(
+        self, carrier: Carrier, grid: Sequence[Sequence[int]], scale: int, na: bool = False
+    ) -> None:
         values = set().union(*grid)
         # lowest terms: afterwards scale is the lcm of the reduced denominators
         c = math.gcd(scale, *values)
@@ -242,30 +243,30 @@ class Pseudometric:
             values = {v // c for v in values}
         grid = tuple(map(tuple, grid))
         n = carrier.n
-        diagonal = map(tuple.__getitem__, grid, range(n))
-        if not proved and (min(values) < 0 or any(diagonal) or grid != tuple(zip(*grid))):
-            for x in range(n):  # report the first bad cell
-                if grid[x][x] != 0:
-                    raise ValueError(f"nonzero self-distance at point {x}")
-                for y in range(x + 1, n):
-                    if grid[x][y] != grid[y][x]:
-                        raise ValueError(f"asymmetric distances at ({x},{y})")
-                    if grid[x][y] < 0:
-                        raise ValueError(f"negative distance at ({x},{y})")
-        # `proved` skips what it settles; else an ultrametric on n points takes at
-        # most n - 1 positive values and is a pseudometric, and any other table is
-        # decided by the triangle scan, whose sums may need fields one bit wider
-        self._na = proved == "ultrametric"
-        if not self._na and (len(values) <= n or not proved):
+        self._na = na
+        if not na:
+            diagonal = map(tuple.__getitem__, grid, range(n))
+            if min(values) < 0 or any(diagonal) or grid != tuple(zip(*grid)):
+                for x in range(n):  # report the first bad cell
+                    if grid[x][x] != 0:
+                        raise ValueError(f"nonzero self-distance at point {x}")
+                    for y in range(x + 1, n):
+                        if grid[x][y] != grid[y][x]:
+                            raise ValueError(f"asymmetric distances at ({x},{y})")
+                        if grid[x][y] < 0:
+                            raise ValueError(f"negative distance at ({x},{y})")
+            # an ultrametric on n points takes at most n - 1 positive values, and
+            # is a pseudometric; any other table is decided by the triangle scan,
+            # whose sums of two entries may need fields one bit wider than the test's
             w, packed = _pack(grid, values, int(len(values) > n))
             self._na = len(values) <= n and _is_ultrametric(grid, w, packed)
-        if not (self._na or proved):
-            if (2 * max(values)).bit_length() >= w:
-                w, packed = _pack(grid, values)
-            failure = _triangle_failure(grid, w, packed)
-            if failure is not None:
-                z, x, y = failure
-                raise ValueError(f"triangle inequality fails at ({x},{y}) via {z}")
+            if not self._na:
+                if (2 * max(values)).bit_length() >= w:
+                    w, packed = _pack(grid, values)
+                failure = _triangle_failure(grid, w, packed)
+                if failure is not None:
+                    z, x, y = failure
+                    raise ValueError(f"triangle inequality fails at ({x},{y}) via {z}")
         self.carrier = carrier
         self.scale = scale // c
         self.grid = grid
@@ -342,8 +343,7 @@ def sup_pm(ds: Sequence[Pseudometric]) -> Pseudometric:
     grids = [_grid_at(d, scale) for d in ds]
     # the first grid twice, so that max takes at least two rows for one metric
     grid = [tuple(map(max, *rows)) for rows in zip(grids[0], *grids)]
-    proved = "ultrametric" if all(d._na for d in ds) else "pseudometric"
-    return Pseudometric._from_grid(carrier, grid, scale, proved)
+    return Pseudometric._from_grid(carrier, grid, scale, all(d._na for d in ds))
 
 
 def _grid_at(d: Pseudometric, scale: int) -> tuple[tuple[int, ...], ...]:
@@ -537,7 +537,7 @@ def chain_pm(kappa: Chain) -> Pseudometric:
         for row, inside, deeper in zip(grid, rows[i - 1], rows[i]):
             for y in bits(inside & ~deeper):
                 row[y] = v
-    return Pseudometric._from_grid(kappa.carrier, grid, scale, "ultrametric")
+    return Pseudometric._from_grid(kappa.carrier, grid, scale, na=True)
 
 
 def system_from_na_basis(b: DiagonalBasis) -> PseudometricSystem:

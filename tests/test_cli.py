@@ -27,8 +27,8 @@ from ultrauniform.cli import (
     padic_pseudometric,
     padic_valuation,
 )
-from ultrauniform.core import Carrier, Relation, ValidationError, is_equivalence
-from ultrauniform.jsonio import _DETECTORS, N_CAP, dumps
+from ultrauniform.core import N_CAP, Carrier, Relation, ValidationError, is_equivalence
+from ultrauniform.jsonio import _DETECTORS, dumps
 from ultrauniform.oracle import check_strong_triangle, eq_closure
 from ultrauniform.pseudometric import Pseudometric, PseudometricSystem, basis_from_system
 from ultrauniform.topology import sierpinski_topology

@@ -4,6 +4,7 @@ import itertools
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -1369,11 +1370,10 @@ def test_chain_pm_grid_matches_the_per_pair_loop():
     assert depths == {1, 2, 3, 4, 5, 6}
 
 
-# The library's builders pass `_from_grid` what they prove: "ultrametric" for
-# chain_pm, a sup of ultrametrics and the p-adic table, which skips every
-# test; "pseudometric" for a sup with another input, which keeps only the
-# ultrametric test that decides is_na.  Rebuilt through the public
-# constructor, which tests everything, each table must come back the same.
+# chain_pm, a sup of ultrametrics and the p-adic table pass `_from_grid`
+# na=True, which skips every test; a sup with another input is tested like
+# a parsed table.  Rebuilt through the public constructor, which tests
+# everything, each table must come back the same.
 
 
 def assert_equals_its_public_rebuild(d):
@@ -1398,7 +1398,7 @@ class TestBuilderTablesEqualTheirRebuild:
             assert is_na(d)
             assert_builder_table_agrees_with_the_oracle(d)
 
-    def test_sup_with_a_line_metric_leaves_is_na_to_decide(self):
+    def test_sup_with_a_line_metric(self):
         rng = random.Random(2102)
         verdicts = set()
         for _ in range(150):
@@ -1477,34 +1477,20 @@ class TestProvedTablesSkipTheirTests:
             padic_pseudometric(p, size)
         assert kernel_calls == {"_is_ultrametric": 0, "_triangle_failure": 0}
 
-    def test_sup_with_a_line_metric_runs_no_triangle_scan(self, kernel_calls):
-        rng = random.Random(2113)
-        inputs = []
-        for n in range(2, 13):
-            line = line_pm(Carrier(n), [rng.randint(0, 2) for _ in range(n)])  # values 0, 1, 2
-            inputs += [[line], [line, random_ultrametric(rng, n)]]
-        kernel_calls.update(dict.fromkeys(kernel_calls, 0))  # the inputs' own tests ran at build
-        tested = 0
-        for ds in inputs:
-            d = sup_pm(ds)
-            # the test runs only on a sup with a non-ultrametric input whose values fit one
-            fits = len(set().union(*d.grid)) <= d.n
-            tested += not all(map(is_na, ds)) and fits
-            assert kernel_calls["_is_ultrametric"] == tested
-        assert kernel_calls["_triangle_failure"] == 0 < tested
-
     @pytest.mark.parametrize(
-        "table, calls",
+        "table, calls, error",
         [
-            ([[0, 1, 2], [1, 0, 2], [2, 2, 0]], (1, 0)),  # an ultrametric: the test passes it
-            ([[0, 1, 2], [1, 0, 1], [2, 1, 0]], (1, 1)),  # a metric with n values: both run
-            ([[0, 1, 3], [1, 0, 2], [3, 2, 0]], (0, 1)),  # more values than points: the scan
-            ([[0, 1, 3], [1, 0, 1], [3, 1, 0]], (1, 1)),  # a failing table: both, then refused
+            ([[0, 1, 2], [1, 0, 2], [2, 2, 0]], (1, 0), None),  # an ultrametric: the test passes it
+            ([[0, 1, 2], [1, 0, 1], [2, 1, 0]], (1, 1), None),  # a metric with n values: both run
+            ([[0, 1, 3], [1, 0, 2], [3, 2, 0]], (0, 1), None),  # more values than points: the scan
+            ([[0, 1, 3], [1, 0, 1], [3, 1, 0]], (1, 1),  # a failing table: both, then refused
+             "triangle inequality fails at (0,2) via 1"),
         ],
     )
-    def test_the_public_constructor_runs_them_as_before(self, kernel_calls, table, calls):
-        try:
+    def test_the_public_constructor_runs_them_as_before(self, kernel_calls, table, calls, error):
+        if error is None:
             pm(table)
-        except ValueError as exc:
-            assert str(exc) == "triangle inequality fails at (0,2) via 1"
+        else:
+            with pytest.raises(ValueError, match=re.escape(error)):
+                pm(table)
         assert (kernel_calls["_is_ultrametric"], kernel_calls["_triangle_failure"]) == calls
