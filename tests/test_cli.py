@@ -546,6 +546,60 @@ class TestMetricOutputIsPinned:
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+# one valid input of each detected type, in `_DETECTORS` order, then an invalid
+# diagonal basis and an invalid cover basis (R_F not transitive, so F is built)
+STRUCTURE_INPUTS = [
+    NA_BASIS_JSON,
+    COVERS_JSON,
+    TOPOLOGY_JSON,
+    json.dumps({"n": 3, "dist": [["0", "1/2", "1"], ["1/2", "0", "1"], ["1", "1", "0"]]}),
+    json.dumps({"n": 3, "metrics": [
+        {"n": 3, "dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]},
+        {"n": 3, "dist": [[0, 0, "1/3"], [0, 0, "1/3"], ["1/3", "1/3", 0]]},
+    ]}),
+    json.dumps({"n": 3, "steps": [
+        {"n": 3, "pairs": [[x, y] for x in range(3) for y in range(3)]},
+        {"n": 3, "pairs": [[0, 0], [0, 1], [1, 0], [1, 1], [2, 2]]},
+    ]}),
+    json.dumps({"n": 3, "pairs": [[0, 0], [0, 2], [1, 1], [2, 2]]}),
+    json.dumps({"n": 4, "blocks": [[0, 3], [1], [2]]}),
+    REFUSED_BASES["symmetry"],
+    json.dumps({"n": 4, "covers": [[[0, 1], [1, 2], [2, 3]], [[0, 1, 2], [3]]]}),
+]
+
+
+class TestStructureVerbOutputIsPinned:
+    """Per structure verb form, the sha256 of its exit codes and stdout on every input of
+    `STRUCTURE_INPUTS` in turn: every result, wrong-kind refusal and refusal report."""
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["validate"],
+         "d8e1f7c75997452194b41b8253a04ed03920e1be34ec28e25c08491aedbd5a3f"),
+        (["convert", "--to", "cover"],
+         "cf1aa41100c2590d557d7ed8eae98edb56909c38e6ad61c91683342481a1573a"),
+        (["convert", "--to", "diagonal"],
+         "45a6620ce2d069c6170b148e7df075587857c7372a2b5a63e51beb8a8ab717b4"),
+        (["check-na"],
+         "a893662f7e544cacff9b890539601bb3e8cc568bafe19134b4d94febfe2958f3"),
+        (["metrize"],
+         "94e71240ccbdeff61f2914dcd511d4b56e1c1eb648e34c9db72823cfe473807c"),
+        (["pm-system"],
+         "f0081c4c975372116713508c7f7b303b043ef905c8e8899bb7a7ca6b8411304a"),
+        (["topo-check"],
+         "595f2cf7409ee38eb5899bf25fe3c66e82861dfa04352cc05fd5b2683e07546b"),
+        (["uniformize"],
+         "fcef29d420129d35605ce8dba6a254bebf5786ef3136b5eacd272f71e21c74fc"),
+        (["roundtrip"],
+         "fff1a1cf5898c4e3f85e2699deeaf706c15cd2209303f3bfb4d3ba4a9bba8ce7"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+    def test_outputs_digest(self, capsys, argv, digest):
+        sha = hashlib.sha256()
+        for text in STRUCTURE_INPUTS:
+            code = main([*argv, "--in", text])
+            sha.update(f"{code}\n{capsys.readouterr().out}".encode())
+        assert sha.hexdigest() == digest
+
+
 class TestUniformize:
     def test_sierpinski(self, capsys):
         code, obj = run(capsys, "uniformize", "--in", SIERPINSKI_JSON)
