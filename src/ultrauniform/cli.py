@@ -108,7 +108,7 @@ _VALIDATORS = {
 }
 
 
-def _cmd_validate(structure) -> tuple[int, dict]:
+def _validate(structure) -> tuple[int, dict]:
     # a table, not isinstance tests, which would load the topology layer only
     # to answer no for a basis; a type missing from it is a KeyError, not a pass
     kind = type(structure)
@@ -119,92 +119,77 @@ def _cmd_validate(structure) -> tuple[int, dict]:
     return (EXIT_OK if report.valid else EXIT_FALSE), report.to_json()
 
 
-def _cmd_convert(structure, target: str) -> tuple[int, dict]:
-    from .uniformity import (
-        CoverBasis,
-        DiagonalBasis,
-        cover_basis_from_diagonal,
-        diagonal_from_cover_basis,
-    )
+def _to_cover(b) -> tuple[int, dict]:
+    from .uniformity import cover_basis_from_diagonal
 
-    if target == "cover":
-        if not isinstance(structure, DiagonalBasis):
-            raise ValueError("convert --to cover expects a diagonal basis")
-        return EXIT_OK, cover_basis_from_diagonal(structure).to_json()
-    if target == "diagonal":
-        if not isinstance(structure, CoverBasis):
-            raise ValueError("convert --to diagonal expects a cover basis")
-        return EXIT_OK, diagonal_from_cover_basis(structure).to_json()
-    raise ValueError(f"unknown conversion target {target!r}")
+    return EXIT_OK, cover_basis_from_diagonal(b).to_json()
 
 
-def _cmd_check_na(structure) -> tuple[int, dict]:
-    from .uniformity import DiagonalBasis, is_non_archimedean
+def _to_diagonal(cb) -> tuple[int, dict]:
+    from .uniformity import diagonal_from_cover_basis
 
-    if not isinstance(structure, DiagonalBasis):
-        raise ValueError("check-na expects a diagonal basis")
-    ok, witness = is_non_archimedean(structure)
+    return EXIT_OK, diagonal_from_cover_basis(cb).to_json()
+
+
+def _check_na(b) -> tuple[int, dict]:
+    from .uniformity import is_non_archimedean
+
+    ok, witness = is_non_archimedean(b)
     return EXIT_OK, {"non_archimedean": ok, "witness": witness.to_json()}
 
 
-def _cmd_metrize(structure) -> tuple[int, dict]:
+def _metrize(b) -> tuple[int, dict]:
     from .pseudometric import metrize
-    from .uniformity import DiagonalBasis
 
-    if not isinstance(structure, DiagonalBasis):
-        raise ValueError("metrize expects a diagonal basis")
-    return EXIT_OK, metrize(structure.entourages).to_json()
+    return EXIT_OK, metrize(b.entourages).to_json()
 
 
-def _cmd_pm_system(structure) -> tuple[int, dict]:
+def _pm_system(b) -> tuple[int, dict]:
     from .pseudometric import system_from_na_basis
-    from .uniformity import DiagonalBasis
 
-    if not isinstance(structure, DiagonalBasis):
-        raise ValueError("pm-system expects a diagonal basis")
-    return EXIT_OK, system_from_na_basis(structure).to_json()
+    return EXIT_OK, system_from_na_basis(b).to_json()
 
 
-def _cmd_topo_check(structure) -> tuple[int, dict]:
-    from .topology import (
-        FiniteTopology,
-        is_uniformizable_na,
-        is_zero_dimensional,
-        satisfies_TA,
-    )
+def _topo_check(t) -> tuple[int, dict]:
+    from .topology import is_uniformizable_na, is_zero_dimensional, satisfies_TA
 
-    if not isinstance(structure, FiniteTopology):
-        raise ValueError("topo-check expects a topology")
-    ta, _ = satisfies_TA(structure)
-    zd = is_zero_dimensional(structure)
-    un, _ = is_uniformizable_na(structure)
+    ta, _ = satisfies_TA(t)
+    zd = is_zero_dimensional(t)
+    un, _ = is_uniformizable_na(t)
     payload = {"T_A": ta, "zero_dim": zd, "uniformizable": un}
     return (EXIT_OK if ta and zd and un else EXIT_FALSE), payload
 
 
-def _cmd_uniformize(structure) -> tuple[int, dict]:
-    from .topology import FiniteTopology, is_uniformizable_na
+def _uniformize(t) -> tuple[int, dict]:
+    from .topology import is_uniformizable_na
 
-    if not isinstance(structure, FiniteTopology):
-        raise ValueError("uniformize expects a topology")
-    ok, witness = is_uniformizable_na(structure)
-    payload = {
-        "uniformizable": ok,
-        "witness": witness.to_json() if witness is not None else None,
-    }
+    ok, witness = is_uniformizable_na(t)
+    payload = {"uniformizable": ok, "witness": witness.to_json() if witness is not None else None}
     return (EXIT_OK if ok else EXIT_FALSE), payload
 
 
-def _cmd_roundtrip(structure) -> tuple[int, dict]:
-    from .uniformity import CoverBasis, DiagonalBasis, cover_roundtrip, diagonal_roundtrip
+def _roundtrip(s) -> tuple[int, dict]:
+    from .uniformity import roundtrip
 
-    if isinstance(structure, DiagonalBasis):
-        ok = diagonal_roundtrip(structure)
-    elif isinstance(structure, CoverBasis):
-        ok = cover_roundtrip(structure)
-    else:
-        raise ValueError("roundtrip expects a diagonal or cover basis")
+    ok = roundtrip(s)
     return (EXIT_OK if ok else EXIT_FALSE), {"roundtrip": ok}
+
+
+_BASIS = ("DiagonalBasis",)
+# verb -> (names of the structure types it accepts, None for every type,
+# what its refusal of another type says it expects, handler); `convert`
+# has one row per target
+_STRUCTURE_VERBS = {
+    "validate": (None, None, _validate),
+    "convert --to cover": (_BASIS, "a diagonal basis", _to_cover),
+    "convert --to diagonal": (("CoverBasis",), "a cover basis", _to_diagonal),
+    "check-na": (_BASIS, "a diagonal basis", _check_na),
+    "metrize": (_BASIS, "a diagonal basis", _metrize),
+    "pm-system": (_BASIS, "a diagonal basis", _pm_system),
+    "topo-check": (("FiniteTopology",), "a topology", _topo_check),
+    "uniformize": (("FiniteTopology",), "a topology", _uniformize),
+    "roundtrip": (("DiagonalBasis", "CoverBasis"), "a diagonal or cover basis", _roundtrip),
+}
 
 
 def _cmd_sweep(args) -> tuple[int, dict]:
@@ -286,18 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_STRUCTURE_VERBS = {
-    "validate": lambda structure, args: _cmd_validate(structure),
-    "convert": lambda structure, args: _cmd_convert(structure, args.target),
-    "check-na": lambda structure, args: _cmd_check_na(structure),
-    "metrize": lambda structure, args: _cmd_metrize(structure),
-    "pm-system": lambda structure, args: _cmd_pm_system(structure),
-    "topo-check": lambda structure, args: _cmd_topo_check(structure),
-    "uniformize": lambda structure, args: _cmd_uniformize(structure),
-    "roundtrip": lambda structure, args: _cmd_roundtrip(structure),
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -317,9 +290,12 @@ def _run(args) -> int:
         elif args.verb == "gen":
             code, payload = _cmd_gen(args)
         else:
-            obj = _read_input(args.input)
-            structure = structure_from_json(obj)
-            code, payload = _STRUCTURE_VERBS[args.verb](structure, args)
+            verb = f"convert --to {args.target}" if args.verb == "convert" else args.verb
+            kinds, what, handler = _STRUCTURE_VERBS[verb]
+            structure = structure_from_json(_read_input(args.input))
+            if kinds is not None and type(structure).__name__ not in kinds:
+                raise ValueError(f"{verb} expects {what}")
+            code, payload = handler(structure)
     except json.JSONDecodeError as exc:
         code, payload = EXIT_INPUT, {"error": f"malformed JSON: {exc}"}
     except (ValueError, OSError) as exc:  # core's ValidationError and CarrierMismatch included

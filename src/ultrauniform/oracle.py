@@ -53,12 +53,10 @@ from .uniformity import (
     DiagonalBasis,
     ValidationReport,
     cover_basis_from_diagonal,
-    cover_roundtrip,
-    covering_uniformity_equal,
-    diagonal_roundtrip,
     has_partition_basis,
     is_non_archimedean,
     relation_from_cover,
+    roundtrip,
     uniformity_equal,
     validate_cover,
     validate_diagonal,
@@ -592,7 +590,7 @@ def _check_representations(b: DiagonalBasis) -> tuple[bool, Optional[str]]:
         return False, "induced system does not reproduce the uniformity"
     cb = cover_basis_from_diagonal(b)
     _, parts = has_partition_basis(cb)
-    if not all(c.is_partition for c in parts.covers) or not covering_uniformity_equal(parts, cb):
+    if not all(c.is_partition for c in parts.covers) or not uniformity_equal(parts, cb):
         return False, "witness is not a partition basis of the covering uniformity"
     return True, None
 
@@ -627,10 +625,8 @@ def _check_separation(t: FiniteTopology) -> tuple[bool, Optional[str]]:
 
 
 def _check_roundtrip(s: object) -> tuple[bool, Optional[str]]:
-    if isinstance(s, DiagonalBasis):
-        holds, side = diagonal_roundtrip(s), "diagonal"
-    else:
-        holds, side = cover_roundtrip(s), "covering"
+    holds = roundtrip(s)
+    side = "diagonal" if isinstance(s, DiagonalBasis) else "covering"
     return holds, None if holds else f"{side} round trip moved the uniformity"
 
 

@@ -24,7 +24,8 @@ Ball relations are read from the table's level balls: per point, its
 distinct distances in ascending order and the ball of each as a bitmask,
 built in one pass over the grid on the first ball the table is asked for
 and kept on the table, so each radius costs one bisection per point; a
-system is decided on its zero set, read straight from the grids.
+system is decided on its zero set, its `principal()`, read straight from
+the grids, which `uniformity_equal` compares with a basis of either form.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .core import (
     mask_of,
     same_carrier,
 )
-from .uniformity import DiagonalBasis, normalize
+from .uniformity import DiagonalBasis
 
 
 # "p" or "p/q" in ASCII digits, at most 4300 of them in each part (the
@@ -439,6 +440,17 @@ class PseudometricSystem:
     def __repr__(self) -> str:
         return f"PseudometricSystem({self.n}, {len(self.metrics)} metrics)"
 
+    def principal(self) -> Relation:
+        """Z, the pairs at distance 0 in every metric, read straight from the grids.
+
+        A metric's least ball relation is its zero set, so Z is the D_min of the
+        basis of every ball relation (`oracle.slow_basis_from_system`); Z is an
+        equivalence, so that basis is valid and generates the uniformity of {Z}.
+        """
+        cells = zip(*(d.grid for d in self.metrics))  # per point x, its row in each grid
+        rows = tuple(mask_of(compress(range(self.n), map(not_, map(any, zip(*xs))))) for xs in cells)
+        return Relation._trusted(self.carrier, rows)
+
 
 def thresholds(d: Pseudometric) -> list[Fraction]:
     """Radii realizing every distinct ball relation of d.
@@ -452,22 +464,8 @@ def thresholds(d: Pseudometric) -> list[Fraction]:
 
 
 def basis_from_system(m: PseudometricSystem) -> DiagonalBasis:
-    """The singleton {Z}, Z the pairs at distance 0 in every metric of the system.
-
-    A metric's least ball relation is its zero set, so Z is the D_min of the
-    basis of every ball relation (`oracle.slow_basis_from_system`); Z is an
-    equivalence, so that basis is valid and generates the uniformity of {Z}.
-    """
-    cells = zip(*(d.grid for d in m.metrics))  # per point x, its row in each grid
-    rows = tuple(mask_of(compress(range(m.n), map(not_, map(any, zip(*xs))))) for xs in cells)
-    return DiagonalBasis(m.carrier, [Relation._trusted(m.carrier, rows)])
-
-
-def systems_equivalent(m: PseudometricSystem, nsys: PseudometricSystem) -> bool:
-    """True iff both systems induce the same uniformity: their zero sets are equal."""
-    if m.carrier != nsys.carrier:
-        raise CarrierMismatch("systems on different carriers")
-    return basis_from_system(m) == basis_from_system(nsys)
+    """The singleton {Z} of the system's principal relation."""
+    return DiagonalBasis(m.carrier, [m.principal()])
 
 
 class Chain:
@@ -546,8 +544,7 @@ def system_from_na_basis(b: DiagonalBasis) -> PseudometricSystem:
     It induces the same uniformity as the input; an invalid basis raises ValidationError.
     """
     full = Relation.full(b.carrier)
-    d_min = normalize(b).entourages[0]
-    return PseudometricSystem(b.carrier, [chain_pm(Chain(b.carrier, [full, d_min]))])
+    return PseudometricSystem(b.carrier, [chain_pm(Chain(b.carrier, [full, b.principal()]))])
 
 
 def descending_chain(es: Sequence[Relation]) -> Chain:
@@ -558,12 +555,12 @@ def descending_chain(es: Sequence[Relation]) -> Chain:
     are equivalences form the chain, in order.  The last one is D_min,
     which is an equivalence iff `es` is a valid diagonal basis, so the
     chain ends at D_min; on a basis of equivalences every step is kept.
-    An invalid basis raises ValidationError, as `normalize` does.
+    An invalid basis raises ValidationError, as `DiagonalBasis.principal` does.
     """
     if not es:
         raise ValueError("need at least one relation")
     carrier = same_carrier(*es)
-    normalize(DiagonalBasis(carrier, es))
+    DiagonalBasis(carrier, es).principal()
     full = Relation.full(carrier)
     listed = list(es)
     if listed[0] != full:
@@ -596,7 +593,6 @@ __all__ = [
     "ball_relation",
     "thresholds",
     "basis_from_system",
-    "systems_equivalent",
     "chain_pm",
     "system_from_na_basis",
     "descending_chain",

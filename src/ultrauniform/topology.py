@@ -12,12 +12,7 @@ from .core import (
     mask_of,
     to_partition,
 )
-from .uniformity import (
-    DiagonalBasis,
-    ValidationReport,
-    minimum_entourage,
-    normalize,
-)
+from .uniformity import DiagonalBasis, ValidationReport, normalize
 
 
 class FiniteTopology:
@@ -226,8 +221,7 @@ def induced_topology(b: DiagonalBasis) -> FiniteTopology:
     On a finite carrier the intersection closure has a minimum entourage,
     so this is the partition topology of its equivalence classes.
     """
-    nb = normalize(b)
-    return partition_topology(to_partition(minimum_entourage(nb)))
+    return partition_topology(to_partition(b.principal()))
 
 
 def is_uniformizable_na(

@@ -12,8 +12,10 @@ Dually, a CoverBasis generates a covering uniformity through common
 refinements of its covers, whose meet F refines every member.  Its
 decisions run on R_F, the AND of the covers' co-residence relations, which
 is F's co-residence and, for a valid basis, an equivalence; only the
-report of a basis whose R_F is not transitive builds F.  The per-member
-searches these replace are kept in `oracle` as references.
+report of a basis whose R_F is not transitive builds F.  D_min, R_F and
+a pseudo-metric system's zero set are each structure's `principal()`, and
+structures are equal iff these are.  The per-member searches these
+replace are kept in `oracle` as references.
 """
 
 from __future__ import annotations
@@ -120,6 +122,20 @@ class DiagonalBasis:
 
     def __repr__(self) -> str:
         return f"DiagonalBasis({self.n}, {len(self.entourages)} entourages)"
+
+    def principal(self) -> Relation:
+        """D_min, which generates the uniformity, decided valid in O(k*n) word operations.
+
+        An invalid basis raises ValidationError naming the first axiom D_min fails, the
+        basis's first (D_min is the closure's first member, reflexive iff every stored
+        entourage is); its `report`, the full `validate_diagonal`, is built when read.
+        """
+        d_min = minimum_entourage(self)
+        if not is_equivalence(d_min):
+            axiom = ("reflexivity" if not d_min.is_reflexive()
+                     else "composition" if d_min.is_symmetric() else "symmetry")
+            raise _refusal("diagonal basis", axiom, lambda: validate_diagonal(self))
+        return d_min
 
 
 class Cover:
@@ -232,6 +248,12 @@ class CoverBasis:
     def __repr__(self) -> str:
         return f"CoverBasis({self.n}, {len(self.covers)} covers)"
 
+    def principal(self) -> Relation:
+        """R_F; an invalid basis raises ValidationError with its `validate_cover` report."""
+        r_f, report = _cover_verdict(self)
+        report.require("cover basis")
+        return r_f
+
 
 def _closure(relations: Iterable[Relation], flags: Iterable[int]) -> dict[tuple[int, ...], int]:
     """The intersection closure as row tuples, each with the OR of its generators' flags.
@@ -307,27 +329,14 @@ def minimum_entourage(b: DiagonalBasis) -> Relation:
 
 
 def normalize(b: DiagonalBasis) -> DiagonalBasis:
-    """Canonical singleton basis {D_min}; requires a valid basis.
-
-    Validity is decided on D_min in O(k*n) word operations; no closure is
-    built.  An invalid basis raises ValidationError naming the first
-    failing axiom, which is the first one D_min fails (D_min is reflexive
-    iff every stored entourage is, and the first member of the closure);
-    its `report`, the full `validate_diagonal(b)`, is built when first read.
-    """
-    d_min = minimum_entourage(b)
-    if not is_equivalence(d_min):
-        axiom = ("reflexivity" if not d_min.is_reflexive()
-                 else "composition" if d_min.is_symmetric() else "symmetry")
-        raise _refusal("diagonal basis", axiom, lambda: validate_diagonal(b))
-    return DiagonalBasis(b.carrier, [d_min])
+    """Canonical singleton basis {D_min}; an invalid basis raises as `principal` does."""
+    return DiagonalBasis(b.carrier, [b.principal()])
 
 
-def uniformity_equal(b1: DiagonalBasis, b2: DiagonalBasis) -> bool:
-    """True iff both bases generate the same uniformity."""
-    if b1.carrier != b2.carrier:
-        raise CarrierMismatch("bases on different carriers")
-    return normalize(b1) == normalize(b2)
+def uniformity_equal(s1, s2) -> bool:
+    """True iff two structures on one carrier generate one uniformity: equal `principal()`s."""
+    same_carrier(s1, s2)
+    return s1.principal() == s2.principal()
 
 
 def is_non_archimedean(b: DiagonalBasis) -> tuple[bool, DiagonalBasis]:
@@ -356,12 +365,12 @@ def relation_from_cover(u: Cover) -> Relation:
 
 def cover_basis_from_diagonal(b: DiagonalBasis) -> CoverBasis:
     """The one partition cover of D_min's classes; requires a valid basis."""
-    return CoverBasis(b.carrier, [cover_from_relation(normalize(b).entourages[0])])
+    return CoverBasis(b.carrier, [cover_from_relation(b.principal())])
 
 
 def diagonal_from_cover_basis(cb: CoverBasis) -> DiagonalBasis:
     """The singleton {R_F}; requires a valid basis, for which R_F is an equivalence."""
-    return DiagonalBasis(cb.carrier, [_valid_coresidence(cb)])
+    return DiagonalBasis(cb.carrier, [cb.principal()])
 
 
 def _cover_verdict(cb: CoverBasis) -> tuple[Relation, ValidationReport]:
@@ -401,24 +410,10 @@ def validate_cover(cb: CoverBasis) -> ValidationReport:
     return _cover_verdict(cb)[1]
 
 
-def _valid_coresidence(cb: CoverBasis) -> Relation:
-    """R_F of a valid basis; an invalid basis raises ValidationError with its report."""
-    r_f, report = _cover_verdict(cb)
-    report.require("cover basis")
-    return r_f
-
-
 def covering_member(cb: CoverBasis, u: Cover) -> bool:
     """True iff u belongs to the covering uniformity of a valid cb: R_F's classes refine u."""
     same_carrier(cb, u)
-    return refines(cover_from_relation(_valid_coresidence(cb)), u)
-
-
-def covering_uniformity_equal(cb1: CoverBasis, cb2: CoverBasis) -> bool:
-    """True iff both valid bases generate the same covering uniformity: equal R_F."""
-    if cb1.carrier != cb2.carrier:
-        raise CarrierMismatch("cover bases on different carriers")
-    return _valid_coresidence(cb1) == _valid_coresidence(cb2)
+    return refines(cover_from_relation(cb.principal()), u)
 
 
 def has_partition_basis(cb: CoverBasis) -> tuple[bool, CoverBasis]:
@@ -428,16 +423,11 @@ def has_partition_basis(cb: CoverBasis) -> tuple[bool, CoverBasis]:
     partition cover of its classes generates the same covering uniformity.
     An invalid basis raises ValidationError.
     """
-    return True, cover_basis_from_diagonal(diagonal_from_cover_basis(cb))
+    return True, CoverBasis(cb.carrier, [cover_from_relation(cb.principal())])
 
 
-def diagonal_roundtrip(b: DiagonalBasis) -> bool:
-    """Diagonal -> covering -> diagonal lands on the same uniformity."""
-    return uniformity_equal(diagonal_from_cover_basis(cover_basis_from_diagonal(b)), b)
-
-
-def cover_roundtrip(cb: CoverBasis) -> bool:
-    """Covering -> diagonal -> covering lands on the same covering uniformity."""
-    return covering_uniformity_equal(
-        cover_basis_from_diagonal(diagonal_from_cover_basis(cb)), cb
-    )
+def roundtrip(s: DiagonalBasis | CoverBasis) -> bool:
+    """Converting a basis to the other form and back lands on the same uniformity."""
+    if isinstance(s, DiagonalBasis):
+        return uniformity_equal(diagonal_from_cover_basis(cover_basis_from_diagonal(s)), s)
+    return uniformity_equal(cover_basis_from_diagonal(diagonal_from_cover_basis(s)), s)

@@ -20,7 +20,6 @@ from ultrauniform.cli import (
     GEN_CAPS,
     _STRUCTURE_VERBS,
     _VALIDATORS,
-    _cmd_validate,
     congruence_relation,
     ideal_chain_basis,
     main,
@@ -32,7 +31,7 @@ from ultrauniform.jsonio import _DETECTORS, dumps
 from ultrauniform.oracle import check_strong_triangle, eq_closure
 from ultrauniform.pseudometric import Pseudometric, PseudometricSystem, basis_from_system
 from ultrauniform.topology import sierpinski_topology
-from ultrauniform.uniformity import DiagonalBasis, uniformity_equal
+from ultrauniform.uniformity import CoverBasis, DiagonalBasis, uniformity_equal
 
 
 def run(capsys, *argv):
@@ -221,8 +220,10 @@ class TestValidate:
                        {"__module__": "ultrauniform.uniformity", "__slots__": ()})
         structure = DiagonalBasis.from_json(json.loads(NA_BASIS_JSON))
         structure.__class__ = renamed
+        kinds, _, validate = _STRUCTURE_VERBS["validate"]
+        assert kinds is None
         with pytest.raises(KeyError):
-            _cmd_validate(structure)
+            validate(structure)
 
     def test_valid_basis(self, capsys):
         code, obj = run(capsys, "validate", "--in", BASIS_JSON)
@@ -445,10 +446,10 @@ class TestInternalError:
         ids=["RuntimeError", "MemoryError"],
     )
     def test_fault_in_a_verb(self, capsys, monkeypatch, error, message):
-        def verb(structure, args):
+        def verb(structure):
             raise error
 
-        monkeypatch.setitem(_STRUCTURE_VERBS, "check-na", verb)
+        monkeypatch.setitem(_STRUCTURE_VERBS, "check-na", (("DiagonalBasis",), "", verb))
         assert main(["check-na", "--in", BASIS_JSON]) == 3
         captured = capsys.readouterr()
         assert json.loads(captured.out) == {"error": f"internal error: {message}"}
@@ -458,20 +459,20 @@ class TestInternalError:
         def report():
             raise MemoryError("report too large")
 
-        def verb(structure, args):
+        def verb(structure):
             raise ValidationError("invalid diagonal basis: symmetry", report=report)
 
-        monkeypatch.setitem(_STRUCTURE_VERBS, "check-na", verb)
+        monkeypatch.setitem(_STRUCTURE_VERBS, "check-na", (("DiagonalBasis",), "", verb))
         code, obj = run(capsys, "check-na", "--in", BASIS_JSON)
         assert code == 3
         assert obj == {"error": "internal error: MemoryError: report too large"}
 
     @pytest.mark.parametrize("error", [KeyboardInterrupt, SystemExit])
     def test_interrupt_and_exit_pass_through(self, capsys, monkeypatch, error):
-        def verb(structure, args):
+        def verb(structure):
             raise error
 
-        monkeypatch.setitem(_STRUCTURE_VERBS, "check-na", verb)
+        monkeypatch.setitem(_STRUCTURE_VERBS, "check-na", (("DiagonalBasis",), "", verb))
         with pytest.raises(error):
             main(["check-na", "--in", BASIS_JSON])
         assert capsys.readouterr().out == ""
@@ -687,6 +688,12 @@ def sweep_params():
                 yield pytest.param(["--theorem", name, *args.split()], stdout, id=f"{name} {args}")
 
 
+def fails_on_a_cover_basis(structure):
+    """A stub of `roundtrip` that holds on every diagonal basis, so a sweep first fails on
+    the cover side."""
+    return not isinstance(structure, CoverBasis)
+
+
 class TestSweepVerb:
     @pytest.mark.parametrize("argv, stdout", sweep_params())
     def test_output_is_pinned(self, capsys, monkeypatch, argv, stdout):
@@ -718,35 +725,35 @@ class TestSweepVerb:
         assert obj == {"error": error}
 
     @pytest.mark.parametrize(
-        "patched, argv, first",
+        "patched, stub, argv, first",
         [
             (
-                "diagonal_roundtrip", ["roundtrip", "--n", "2"],
+                "roundtrip", lambda structure: False, ["roundtrip", "--n", "2"],
                 {"basis": {"n": 2, "entourages": [
                     {"n": 2, "pairs": [[0, 0], [0, 1], [1, 0], [1, 1]]}
                 ]}, "problem": "diagonal round trip moved the uniformity"},
             ),
             (
-                "cover_roundtrip", ["roundtrip", "--n", "2"],
+                "roundtrip", fails_on_a_cover_basis, ["roundtrip", "--n", "2"],
                 {"cover_basis": {"n": 2, "covers": [[[0, 1]]]},
                  "problem": "covering round trip moved the uniformity"},
             ),
             (
-                "cover_roundtrip", ["roundtrip", "--n", "4"],
+                "roundtrip", fails_on_a_cover_basis, ["roundtrip", "--n", "4"],
                 {"cover_basis": {"n": 4, "covers": [[[0, 1, 2, 3]]]},
                  "problem": "covering round trip moved the uniformity"},
             ),
             (
-                "is_zero_dimensional", ["T3.2", "--n", "2"],
+                "is_zero_dimensional", lambda structure: False, ["T3.2", "--n", "2"],
                 {"topology": {"n": 2, "opens": [[], [0, 1]]},
                  "problem": "verdicts differ: separation=True zero_dim=False uniformizable=True"},
             ),
         ],
         ids=["basis", "cover_basis", "cover_basis n=4", "topology"],
     )
-    def test_first_counterexample(self, capsys, monkeypatch, patched, argv, first):
+    def test_first_counterexample(self, capsys, monkeypatch, patched, stub, argv, first):
         # a check made to fail reports its first instance, keyed by the instance's type
-        monkeypatch.setattr(f"ultrauniform.oracle.{patched}", lambda structure: False)
+        monkeypatch.setattr(f"ultrauniform.oracle.{patched}", stub)
         code, obj = run(capsys, "sweep", "--theorem", *argv)
         assert code == 1
         assert obj["first_counterexample"] == first

@@ -45,7 +45,6 @@ from ultrauniform.pseudometric import (
     metrize,
     sup_pm,
     system_from_na_basis,
-    systems_equivalent,
     thresholds,
 )
 from ultrauniform.pseudometric import _is_ultrametric, _level_balls, _pack, _triangle_failure
@@ -300,7 +299,7 @@ class TestSystemsAgainstOracle:
             slow = [slow_basis_from_system(s), slow_basis_from_system(t)]
             assert basis_from_system(s) == normalize(slow[0]), s.to_json()
             assert basis_from_system(t) == normalize(slow[1]), t.to_json()
-            equivalent = systems_equivalent(s, t)
+            equivalent = uniformity_equal(s, t)
             assert equivalent == uniformity_equal(*slow), (s.to_json(), t.to_json())
             outcomes[equivalent] += 1
         assert min(outcomes.values()) >= 500, outcomes
@@ -320,8 +319,8 @@ class TestSystemsAgainstOracle:
             z = basis_from_system(s).entourages[0]
             moved_z = Relation.from_pairs(z.carrier, [(pi[x], pi[y]) for x, y in z.pairs()])
             assert basis_from_system(moved(s)).entourages == (moved_z,)
-            equivalent = systems_equivalent(s, t)
-            assert systems_equivalent(moved(s), moved(t)) == equivalent
+            equivalent = uniformity_equal(s, t)
+            assert uniformity_equal(moved(s), moved(t)) == equivalent
             outcomes[equivalent] += 1
         assert min(outcomes.values()) >= 50, outcomes
 
@@ -335,10 +334,10 @@ class TestSystemsAgainstOracle:
             for _ in range(2)
         )
         started = time.perf_counter()
-        assert systems_equivalent(s, t)
+        assert uniformity_equal(s, t)
         assert basis_from_system(s).entourages == (Relation.identity(c96),)
         elapsed = time.perf_counter() - started
-        assert elapsed < 0.05, f"systems_equivalent and basis_from_system took {elapsed:.3f}s at n=96"
+        assert elapsed < 0.05, f"uniformity_equal and basis_from_system took {elapsed:.3f}s at n=96"
 
 
 class TestSystemOrder:
@@ -367,12 +366,12 @@ class TestSystemsEquivalent:
     def test_self(self):
         d = pm([[0, 0, 1], [0, 0, 1], [1, 1, 0]])
         m = PseudometricSystem(C3, [d])
-        assert systems_equivalent(m, m)
+        assert uniformity_equal(m, m)
 
     def test_scaling_invariance(self):
         d = pm([[0, 0, 1], [0, 0, 1], [1, 1, 0]])
         double = pm([[0, 0, 2], [0, 0, 2], [2, 2, 0]])
-        assert systems_equivalent(
+        assert uniformity_equal(
             PseudometricSystem(C3, [d]), PseudometricSystem(C3, [double])
         )
 
@@ -380,13 +379,13 @@ class TestSystemsEquivalent:
         c2 = Carrier(2)
         zero = Pseudometric(c2, [[0, 0], [0, 0]])
         disc = Pseudometric(c2, [[0, 1], [1, 0]])
-        assert not systems_equivalent(
+        assert not uniformity_equal(
             PseudometricSystem(c2, [zero]), PseudometricSystem(c2, [disc])
         )
 
     def test_carrier_mismatch(self):
         with pytest.raises(CarrierMismatch):
-            systems_equivalent(
+            uniformity_equal(
                 PseudometricSystem(C3, [ZERO3]),
                 PseudometricSystem(Carrier(2), [Pseudometric(Carrier(2), [[0, 0], [0, 0]])]),
             )

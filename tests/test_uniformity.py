@@ -3,8 +3,8 @@
 import random
 import time
 from functools import reduce
-from itertools import combinations, repeat
-from operator import or_
+from itertools import chain, combinations, repeat
+from operator import and_, or_
 
 import pytest
 
@@ -14,6 +14,7 @@ from ultrauniform.core import (
     Partition,
     Relation,
     ValidationError,
+    bits,
     compose,
     inverse,
     is_equivalence,
@@ -33,32 +34,37 @@ from ultrauniform.oracle import (
     random_equivalence,
     random_equivalence_basis,
     random_partition,
+    random_ultrametric,
     random_valid_basis,
     search_na_witness,
     search_partition_basis,
+    slow_basis_from_system,
     slow_finest_refinement,
     slow_intersection_closure,
     slow_validate_cover,
     slow_validate_diagonal,
     star_refines,
 )
-from ultrauniform.pseudometric import basis_from_system, system_from_na_basis
+from ultrauniform.pseudometric import (
+    Pseudometric,
+    PseudometricSystem,
+    basis_from_system,
+    system_from_na_basis,
+)
 from ultrauniform.uniformity import (
     Cover,
     CoverBasis,
     DiagonalBasis,
     cover_basis_from_diagonal,
     cover_from_relation,
-    cover_roundtrip,
     covering_member,
-    covering_uniformity_equal,
     diagonal_from_cover_basis,
-    diagonal_roundtrip,
     has_partition_basis,
     is_non_archimedean,
     minimum_entourage,
     normalize,
     relation_from_cover,
+    roundtrip,
     uniformity_equal,
     validate_cover,
     validate_diagonal,
@@ -305,6 +311,78 @@ class TestUniformityEqual:
                         assert uniformity_equal(a, c)
 
 
+def valid_reflexive_bases(n):
+    """Every valid basis of one or two reflexive relations on n points."""
+    reflexive = [r for r in enumerate_relations(n) if r.is_reflexive()]
+    bases = (DiagonalBasis(Carrier(n), c) for k in (1, 2) for c in combinations(reflexive, k))
+    return (b for b in bases if validate_diagonal(b).valid)
+
+
+def random_system(rng, n):
+    """1-3 metrics, each a random ultrametric or a line pseudometric repeating points."""
+    carrier = Carrier(n)
+    lines = ([rng.randint(0, n // 2) for _ in range(n)] for _ in range(3))
+    return PseudometricSystem(carrier, [
+        random_ultrametric(rng, n) if rng.random() < 0.5
+        else Pseudometric(carrier, [[abs(a - b) for b in f] for a in f])
+        for f in list(lines)[: rng.randint(1, 3)]
+    ])
+
+
+def seeded(draw, count=160):
+    """`count` draws of `draw(rng, n)` from one seed, n going round 1..8."""
+    rng = random.Random(2022)
+    return [draw(rng, 1 + i % 8) for i in range(count)]
+
+
+def coresidence(u):
+    """The pairs lying together in some set of the cover, pair by pair."""
+    return Relation.from_pairs(u.carrier, [(x, y) for m in u.sets for x in bits(m) for y in bits(m)])
+
+
+PRINCIPAL_SOURCES = {
+    "diagonal-every-valid-n3": lambda: [
+        b for n in (1, 2, 3) for b in chain(enumerate_uniformities(n), valid_reflexive_bases(n))
+    ],
+    "cover-every-valid-n3": lambda: [
+        cb for n in (1, 2, 3) for cb in enumerate_valid_cover_bases(n)
+    ],
+    "diagonal-seeded-n8": lambda: seeded(random_valid_basis),
+    "cover-seeded-n8": lambda: seeded(random_cover_basis),
+    "system-seeded-n8": lambda: seeded(random_system),
+}
+
+
+@pytest.mark.parametrize("source", list(PRINCIPAL_SOURCES))
+def test_principal_against_the_oracle_and_across_forms(source):
+    """D_min, R_F and Z against their brute-force definitions; each form equals the others."""
+    instances = PRINCIPAL_SOURCES[source]()
+    assert len(instances) >= 60
+    for s in instances:
+        p = s.principal()
+        if isinstance(s, DiagonalBasis):
+            assert p == slow_intersection_closure(s.entourages)[0], s.to_json()
+            b = s
+        elif isinstance(s, CoverBasis):
+            assert p == coresidence(slow_finest_refinement(s)), s.to_json()
+            b = diagonal_from_cover_basis(s)
+        else:
+            assert p == reduce(and_, slow_basis_from_system(s).entourages), s.to_json()
+            b = basis_from_system(s)
+        assert is_equivalence(p) and b.principal() == p
+        assert uniformity_equal(s, b) and uniformity_equal(b, s)
+        assert uniformity_equal(b, cover_basis_from_diagonal(b))
+        assert uniformity_equal(b, system_from_na_basis(b))
+        elsewhere = Carrier(s.n + 1)
+        for other in (
+            DiagonalBasis(elsewhere, [Relation.full(elsewhere)]),
+            CoverBasis(elsewhere, [Cover(elsewhere, [elsewhere.points])]),
+            PseudometricSystem(elsewhere, [Pseudometric(elsewhere, [[0] * (s.n + 1)] * (s.n + 1))]),
+        ):
+            with pytest.raises(CarrierMismatch):
+                uniformity_equal(s, other)
+
+
 class TestIsNonArchimedean:
     def test_equivalence_singleton_witnesses_itself(self):
         b = DiagonalBasis(C3, [E01])
@@ -450,7 +528,7 @@ class TestHasPartitionBasis:
         ok, witness = has_partition_basis(cb)
         assert ok
         assert all(c.is_partition for c in witness.covers)
-        assert covering_uniformity_equal(witness, cb)
+        assert uniformity_equal(witness, cb)
 
     def test_overlapping_cover_with_singleton_partition(self):
         cb = CoverBasis(C3, [Cover(C3, [[0, 1], [1, 2]]), Cover(C3, [[0], [1], [2]])])
@@ -469,6 +547,7 @@ def check_validation_against_oracle(b):
 
 
 REFUSING_DECIDERS = (
+    DiagonalBasis.principal,
     normalize,
     is_non_archimedean,
     lambda b: uniformity_equal(b, b),
@@ -501,17 +580,18 @@ def check_diagonal_against_oracle(b):
     cb = cover_basis_from_diagonal(b)
     assert all(c.is_partition for c in cb.covers)
     closure_covers = {cover_from_relation(d) for d in slow_intersection_closure(b.entourages)}
-    assert covering_uniformity_equal(cb, CoverBasis(b.carrier, closure_covers))
+    assert uniformity_equal(cb, CoverBasis(b.carrier, closure_covers))
     assert uniformity_equal(basis_from_system(system_from_na_basis(b)), b)
     return True
 
 
 COVER_DECIDERS = (
+    CoverBasis.principal,
     has_partition_basis,
     diagonal_from_cover_basis,
     lambda cb: covering_member(cb, cb.covers[0]),
-    lambda cb: covering_uniformity_equal(cb, cb),
-    cover_roundtrip,
+    lambda cb: uniformity_equal(cb, cb),
+    roundtrip,
 )
 
 
@@ -541,12 +621,12 @@ def check_cover_against_oracle(cb, members=(), other=None):
     if other is not None:
         other_closed = slow_finest_refinement(other)
         mutual = refines(closed, other_closed) and refines(other_closed, closed)
-        assert covering_uniformity_equal(cb, other) == mutual
+        assert uniformity_equal(cb, other) == mutual
     found, reference = search_partition_basis(cb)
     ok, parts = has_partition_basis(cb)
     assert ok and found
     assert all(c.is_partition for c in parts.covers)
-    assert covering_uniformity_equal(parts, cb) and covering_uniformity_equal(parts, reference)
+    assert uniformity_equal(parts, cb) and uniformity_equal(parts, reference)
     coresidence = {relation_from_cover(u) for u in cb.covers} | {relation_from_cover(closed)}
     assert uniformity_equal(b, DiagonalBasis(cb.carrier, coresidence))
     return True
@@ -680,7 +760,7 @@ class TestPrincipalGeneratorAgainstOracle:
                     checked += 1
                     if check_cover_against_oracle(cb, members, other):
                         valid += 1
-                        equal += other is not None and covering_uniformity_equal(cb, other)
+                        equal += other is not None and uniformity_equal(cb, other)
                         seen.append(cb)
         assert 0 < valid < checked and 0 < equal < valid
 
@@ -750,19 +830,19 @@ class TestPrincipalGeneratorAgainstOracle:
 
 class TestRoundtrips:
     def test_indiscrete(self):
-        assert diagonal_roundtrip(DiagonalBasis(C3, [FULL3]))
+        assert roundtrip(DiagonalBasis(C3, [FULL3]))
 
     def test_all_uniformities_n4(self):
         bases = list(enumerate_uniformities(4))
         assert len(bases) == 15
         for b in bases:
-            assert diagonal_roundtrip(b)
+            assert roundtrip(b)
 
     def test_all_valid_cover_bases_n3(self):
         count = 0
         for cb in enumerate_valid_cover_bases(3, max_covers=2):
             count += 1
-            assert cover_roundtrip(cb)
+            assert roundtrip(cb)
         assert count > 50
 
     def test_non_directed_generating_family(self):
@@ -772,7 +852,7 @@ class TestRoundtrips:
         b = DiagonalBasis(C3, [d1, d2])
         assert validate_diagonal(b).valid
         assert normalize(b).entourages == (ID3,)
-        assert diagonal_roundtrip(b)
+        assert roundtrip(b)
 
 
 class TestNormalizePadic:
