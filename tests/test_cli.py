@@ -1,5 +1,6 @@
 """The command-line surface: verbs, exit codes, and determinism."""
 
+import contextlib
 import hashlib
 import importlib
 import io
@@ -15,6 +16,8 @@ from operator import and_
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ultrauniform.cli import (
     GEN_CAPS,
@@ -1138,3 +1141,127 @@ class TestGeneratorHelpers:
             for step in range(1, 60):  # steps above the modulus leave only the identity
                 pairs = [(x, y) for x in range(modulus) for y in range(modulus) if (x - y) % step == 0]
                 assert congruence_relation(modulus, step) == Relation.from_pairs(carrier, pairs)
+
+
+FIELDS = ["n"] + [field for field, _, _ in _DETECTORS]
+STRUCTURE_VERB_FORMS = [
+    ["validate"], ["convert", "--to", "cover"], ["convert", "--to", "diagonal"], ["check-na"],
+    ["metrize"], ["pm-system"], ["topo-check"], ["uniformize"], ["roundtrip"],
+]
+# any JSON value: small numbers, the cap + 1, rational strings and junk, nested
+# lists and objects keyed by the known field names
+json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 8), st.just(N_CAP + 1), st.floats(),
+    st.sampled_from(["0", "1", "1/2", "2/3", "-1", "1/0", "0.5", "x", ""]),
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(FIELDS), inner, max_size=3
+    ),
+    max_leaves=12,
+)
+
+
+def rarely(draw, one_in=6) -> bool:
+    """True for about one draw in `one_in`."""
+    return draw(st.integers(1, one_in)) == one_in
+
+
+@st.composite
+def fuzzed_inputs(draw):
+    """A JSON object shaped like one of the structures, a part of it now and then junk.
+
+    The declared "n" is mostly 1..6, else 0, N_CAP + 1 or any JSON value.  Points
+    may stray outside the carrier; relations are equivalences, with stray pairs
+    now and then; covers hold a partition, topologies are often valid, and tables
+    often symmetric, so that many inputs pass the reader and reach the verbs.  One
+    input in eight is any JSON list or object.
+    """
+    if rarely(draw, 8):
+        return draw(st.lists(json_values, max_size=3) | st.dictionaries(
+            st.sampled_from(FIELDS), json_values, max_size=3
+        ))
+    n = draw(st.integers(1, 6))
+    if rarely(draw, 12):
+        n = draw(st.sampled_from([0, N_CAP + 1]) | json_values)
+    size = n if isinstance(n, int) and not isinstance(n, bool) and 0 <= n <= 6 else 3
+    full = list(range(size))
+    point = st.integers(0, size - 1) if size else st.just(0)
+    if rarely(draw):
+        point = point | st.integers(-1, size) | json_leaves
+    points = st.lists(point, min_size=1, max_size=size + 1)
+    # a partition of the carrier, as one label per point
+    labels = st.lists(st.integers(0, size), min_size=size, max_size=size)
+    blocks = labels.map(lambda ls: [[x for x in full if ls[x] == b] for b in sorted(set(ls))])
+
+    def part(strategy):
+        return json_values if rarely(draw) else strategy
+
+    def relation():  # an equivalence, often with stray pairs
+        extra = st.lists(st.lists(point, min_size=2, max_size=2), max_size=size + 1)
+        pairs = st.tuples(labels, st.booleans(), extra).map(lambda t: [
+            [x, y] for x in full for y in full if t[0][x] == t[0][y]
+        ] + t[1] * t[2])
+        return st.fixed_dictionaries({"n": st.just(n), "pairs": part(pairs)})
+
+    def family():  # a partition and point lists, often with the carrier among them
+        return st.tuples(blocks, st.booleans(), st.lists(points, max_size=3)).map(
+            lambda t: t[0] + [full] * t[1] + t[2]
+        )
+
+    def topology():  # the unions of a partition's blocks, a chain of prefixes, or a family
+        unions = blocks.map(lambda bs: [
+            [x for i, b in enumerate(bs) if k >> i & 1 for x in b] for k in range(1 << len(bs))
+        ])
+        prefixes = st.just([full[:k] for k in range(size + 1)])
+        return unions | prefixes | family().map(lambda opens: [[]] + opens)
+
+    cell = st.integers(0, 3) | st.sampled_from(["1/2", "1/3", "2/3", "0"])
+    if rarely(draw):
+        cell = cell | json_leaves
+
+    def table():  # symmetric with a zero diagonal, or as drawn
+        grid = st.lists(st.lists(cell, min_size=size, max_size=size), min_size=size, max_size=size)
+        return st.tuples(st.booleans(), grid).map(lambda t: [
+            [0 if x == y else t[1][min(x, y)][max(x, y)] for y in full] for x in full
+        ] if t[0] else t[1])
+
+    def metric():
+        return st.fixed_dictionaries({"n": st.just(n), "dist": part(table())})
+
+    def chain_steps():  # often the full relation first
+        first = {"n": n, "pairs": [[x, y] for x in full for y in full]}
+        return st.tuples(st.booleans(), st.lists(relation(), min_size=1, max_size=3)).map(
+            lambda t: [first] * t[0] + t[1]
+        )
+
+    field = draw(st.sampled_from(FIELDS[1:]))
+    obj = {"n": n, field: draw(part({
+        "entourages": st.lists(relation(), min_size=1, max_size=3),
+        "covers": st.lists(family(), min_size=1, max_size=3),
+        "opens": topology(),
+        "dist": table(),
+        "metrics": st.lists(metric(), min_size=1, max_size=3),
+        "steps": chain_steps(),
+        "pairs": relation().map(lambda r: r["pairs"]),
+        "blocks": blocks | st.lists(points, max_size=size + 1),
+    }[field]))}
+    if rarely(draw, 12):  # a second discriminating field, or "n" as any JSON value
+        obj[draw(st.sampled_from(FIELDS))] = draw(json_values)
+    return obj
+
+
+class TestExitContractFuzz:
+    """Every structure verb on any JSON input exits 0, 1 or 2 with one JSON document."""
+
+    @settings(max_examples=160, derandomize=True, deadline=None, database=None)
+    @given(obj=fuzzed_inputs())
+    def test_exit_code_and_one_document(self, obj):
+        text = json.dumps(obj)
+        for argv in STRUCTURE_VERB_FORMS:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([*argv, "--in", text])
+            assert code in (0, 1, 2), (argv, text, err.getvalue())
+            json.loads(out.getvalue())  # exactly one document: trailing text fails
