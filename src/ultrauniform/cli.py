@@ -175,17 +175,16 @@ def _roundtrip(s) -> tuple[int, dict]:
     return (EXIT_OK if ok else EXIT_FALSE), {"roundtrip": ok}
 
 
-_BASIS = ("DiagonalBasis",)
 # verb -> (names of the structure types it accepts, None for every type,
 # what its refusal of another type says it expects, handler); `convert`
 # has one row per target
 _STRUCTURE_VERBS = {
     "validate": (None, None, _validate),
-    "convert --to cover": (_BASIS, "a diagonal basis", _to_cover),
+    "convert --to cover": (("DiagonalBasis",), "a diagonal basis", _to_cover),
     "convert --to diagonal": (("CoverBasis",), "a cover basis", _to_diagonal),
-    "check-na": (_BASIS, "a diagonal basis", _check_na),
-    "metrize": (_BASIS, "a diagonal basis", _metrize),
-    "pm-system": (_BASIS, "a diagonal basis", _pm_system),
+    "check-na": (("DiagonalBasis",), "a diagonal basis", _check_na),
+    "metrize": (("DiagonalBasis",), "a diagonal basis", _metrize),
+    "pm-system": (("DiagonalBasis",), "a diagonal basis", _pm_system),
     "topo-check": (("FiniteTopology",), "a topology", _topo_check),
     "uniformize": (("FiniteTopology",), "a topology", _uniformize),
     "roundtrip": (("DiagonalBasis", "CoverBasis"), "a diagonal or cover basis", _roundtrip),
