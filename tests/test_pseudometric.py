@@ -9,8 +9,8 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from functools import lru_cache
-from operator import or_
+from functools import lru_cache, reduce
+from operator import and_, or_
 from pathlib import Path
 
 import pytest
@@ -20,6 +20,7 @@ from ultrauniform.core import (
     CarrierMismatch,
     Relation,
     ValidationError,
+    bits,
     is_equivalence,
 )
 from ultrauniform.jsonio import dumps
@@ -27,12 +28,19 @@ from ultrauniform.oracle import (
     check_pseudometric,
     check_strong_triangle,
     enumerate_relations,
+    enumerate_uniformities,
+    enumerate_valid_cover_bases,
     eq_closure,
+    random_cover_basis,
     random_equivalence,
     random_ultrametric,
+    random_valid_basis,
     slow_ball_relation,
     slow_basis_from_system,
+    slow_finest_refinement,
+    slow_intersection_closure,
 )
+from ultrauniform.oracle import _metrization_instances
 from ultrauniform.pseudometric import (
     Chain,
     Pseudometric,
@@ -48,7 +56,16 @@ from ultrauniform.pseudometric import (
     thresholds,
 )
 from ultrauniform.pseudometric import _is_ultrametric, _level_balls, _pack, _triangle_failure
-from ultrauniform.uniformity import DiagonalBasis, normalize, uniformity_equal, validate_diagonal
+from ultrauniform.uniformity import (
+    Cover,
+    CoverBasis,
+    DiagonalBasis,
+    cover_basis_from_diagonal,
+    diagonal_from_cover_basis,
+    normalize,
+    uniformity_equal,
+    validate_diagonal,
+)
 
 C3 = Carrier(3)
 FULL3 = Relation.full(C3)
@@ -281,6 +298,61 @@ def random_system(rng, n):
         for _ in range(rng.randint(1, 3))
     ]
     return PseudometricSystem(carrier, metrics)
+
+
+def seeded(draw, count=160):
+    """`count` draws of `draw(rng, n)` from one seed, n going round 1..8."""
+    rng = random.Random(2022)
+    return [draw(rng, 1 + i % 8) for i in range(count)]
+
+
+def coresidence(u):
+    """The pairs lying together in some set of the cover, pair by pair."""
+    return Relation.from_pairs(u.carrier, [(x, y) for m in u.sets for x in bits(m) for y in bits(m)])
+
+
+PRINCIPAL_SOURCES = {
+    "diagonal-every-valid-n3": lambda: [
+        b for n in (1, 2, 3)
+        for b in itertools.chain(enumerate_uniformities(n), _metrization_instances(n))
+    ],
+    "cover-every-valid-n3": lambda: [
+        cb for n in (1, 2, 3) for cb in enumerate_valid_cover_bases(n)
+    ],
+    "diagonal-seeded-n8": lambda: seeded(random_valid_basis),
+    "cover-seeded-n8": lambda: seeded(random_cover_basis),
+    "system-seeded-n8": lambda: seeded(random_system),
+}
+
+
+@pytest.mark.parametrize("source", list(PRINCIPAL_SOURCES))
+def test_principal_against_the_oracle_and_across_forms(source):
+    """D_min, R_F and Z against their brute-force definitions; each form equals the others."""
+    instances = PRINCIPAL_SOURCES[source]()
+    assert len(instances) >= 60
+    for s in instances:
+        p = s.principal()
+        if isinstance(s, DiagonalBasis):
+            assert p == slow_intersection_closure(s.entourages)[0], s.to_json()
+            b = s
+        elif isinstance(s, CoverBasis):
+            assert p == coresidence(slow_finest_refinement(s)), s.to_json()
+            b = diagonal_from_cover_basis(s)
+        else:
+            assert p == reduce(and_, slow_basis_from_system(s).entourages), s.to_json()
+            b = basis_from_system(s)
+        assert is_equivalence(p) and b.principal() == p
+        assert uniformity_equal(s, b) and uniformity_equal(b, s)
+        assert uniformity_equal(b, cover_basis_from_diagonal(b))
+        assert uniformity_equal(b, system_from_na_basis(b))
+        elsewhere = Carrier(s.n + 1)
+        for other in (
+            DiagonalBasis(elsewhere, [Relation.full(elsewhere)]),
+            CoverBasis(elsewhere, [Cover(elsewhere, [elsewhere.points])]),
+            PseudometricSystem(elsewhere, [line_pm(elsewhere, [0] * elsewhere.n)]),
+        ):
+            with pytest.raises(CarrierMismatch):
+                uniformity_equal(s, other)
 
 
 class TestSystemsAgainstOracle:

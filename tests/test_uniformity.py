@@ -3,8 +3,8 @@
 import random
 import time
 from functools import reduce
-from itertools import chain, combinations, repeat
-from operator import and_, or_
+from itertools import combinations, repeat
+from operator import or_
 
 import pytest
 
@@ -14,7 +14,6 @@ from ultrauniform.core import (
     Partition,
     Relation,
     ValidationError,
-    bits,
     compose,
     inverse,
     is_equivalence,
@@ -34,23 +33,16 @@ from ultrauniform.oracle import (
     random_equivalence,
     random_equivalence_basis,
     random_partition,
-    random_ultrametric,
     random_valid_basis,
     search_na_witness,
     search_partition_basis,
-    slow_basis_from_system,
     slow_finest_refinement,
     slow_intersection_closure,
     slow_validate_cover,
     slow_validate_diagonal,
     star_refines,
 )
-from ultrauniform.pseudometric import (
-    Pseudometric,
-    PseudometricSystem,
-    basis_from_system,
-    system_from_na_basis,
-)
+from ultrauniform.pseudometric import basis_from_system, system_from_na_basis
 from ultrauniform.uniformity import (
     Cover,
     CoverBasis,
@@ -309,78 +301,6 @@ class TestUniformityEqual:
                 for c in bases:
                     if uniformity_equal(a, b) and uniformity_equal(b, c):
                         assert uniformity_equal(a, c)
-
-
-def valid_reflexive_bases(n):
-    """Every valid basis of one or two reflexive relations on n points."""
-    reflexive = [r for r in enumerate_relations(n) if r.is_reflexive()]
-    bases = (DiagonalBasis(Carrier(n), c) for k in (1, 2) for c in combinations(reflexive, k))
-    return (b for b in bases if validate_diagonal(b).valid)
-
-
-def random_system(rng, n):
-    """1-3 metrics, each a random ultrametric or a line pseudometric repeating points."""
-    carrier = Carrier(n)
-    lines = ([rng.randint(0, n // 2) for _ in range(n)] for _ in range(3))
-    return PseudometricSystem(carrier, [
-        random_ultrametric(rng, n) if rng.random() < 0.5
-        else Pseudometric(carrier, [[abs(a - b) for b in f] for a in f])
-        for f in list(lines)[: rng.randint(1, 3)]
-    ])
-
-
-def seeded(draw, count=160):
-    """`count` draws of `draw(rng, n)` from one seed, n going round 1..8."""
-    rng = random.Random(2022)
-    return [draw(rng, 1 + i % 8) for i in range(count)]
-
-
-def coresidence(u):
-    """The pairs lying together in some set of the cover, pair by pair."""
-    return Relation.from_pairs(u.carrier, [(x, y) for m in u.sets for x in bits(m) for y in bits(m)])
-
-
-PRINCIPAL_SOURCES = {
-    "diagonal-every-valid-n3": lambda: [
-        b for n in (1, 2, 3) for b in chain(enumerate_uniformities(n), valid_reflexive_bases(n))
-    ],
-    "cover-every-valid-n3": lambda: [
-        cb for n in (1, 2, 3) for cb in enumerate_valid_cover_bases(n)
-    ],
-    "diagonal-seeded-n8": lambda: seeded(random_valid_basis),
-    "cover-seeded-n8": lambda: seeded(random_cover_basis),
-    "system-seeded-n8": lambda: seeded(random_system),
-}
-
-
-@pytest.mark.parametrize("source", list(PRINCIPAL_SOURCES))
-def test_principal_against_the_oracle_and_across_forms(source):
-    """D_min, R_F and Z against their brute-force definitions; each form equals the others."""
-    instances = PRINCIPAL_SOURCES[source]()
-    assert len(instances) >= 60
-    for s in instances:
-        p = s.principal()
-        if isinstance(s, DiagonalBasis):
-            assert p == slow_intersection_closure(s.entourages)[0], s.to_json()
-            b = s
-        elif isinstance(s, CoverBasis):
-            assert p == coresidence(slow_finest_refinement(s)), s.to_json()
-            b = diagonal_from_cover_basis(s)
-        else:
-            assert p == reduce(and_, slow_basis_from_system(s).entourages), s.to_json()
-            b = basis_from_system(s)
-        assert is_equivalence(p) and b.principal() == p
-        assert uniformity_equal(s, b) and uniformity_equal(b, s)
-        assert uniformity_equal(b, cover_basis_from_diagonal(b))
-        assert uniformity_equal(b, system_from_na_basis(b))
-        elsewhere = Carrier(s.n + 1)
-        for other in (
-            DiagonalBasis(elsewhere, [Relation.full(elsewhere)]),
-            CoverBasis(elsewhere, [Cover(elsewhere, [elsewhere.points])]),
-            PseudometricSystem(elsewhere, [Pseudometric(elsewhere, [[0] * (s.n + 1)] * (s.n + 1))]),
-        ):
-            with pytest.raises(CarrierMismatch):
-                uniformity_equal(s, other)
 
 
 class TestIsNonArchimedean:
