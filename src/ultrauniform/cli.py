@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from .jsonio import dumps, structure_from_json
+from .jsonio import _DETECTORS, dumps, structure_from_json
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -93,26 +93,13 @@ def _read_input(raw: str) -> dict:
         raise ValueError("JSON input nests too deeply") from None
 
 
-# the validator of each type that jsonio detects, keyed on the type's module
-# and name and found in that module; None where the type enforces its
-# invariants at construction
-_VALIDATORS = {
-    (f"{__package__}.uniformity", "DiagonalBasis"): "validate_diagonal",
-    (f"{__package__}.uniformity", "CoverBasis"): "validate_cover",
-    (f"{__package__}.topology", "FiniteTopology"): "validate_topology",
-    (f"{__package__}.pseudometric", "Pseudometric"): None,
-    (f"{__package__}.pseudometric", "PseudometricSystem"): None,
-    (f"{__package__}.pseudometric", "Chain"): None,
-    (f"{__package__}.core", "Relation"): None,
-    (f"{__package__}.core", "Partition"): None,
-}
-
-
 def _validate(structure) -> tuple[int, dict]:
-    # a table, not isinstance tests, which would load the topology layer only
-    # to answer no for a basis; a type missing from it is a KeyError, not a pass
+    # the detected type's row of jsonio's table, found by module and class name, not
+    # by isinstance tests, which would load the topology layer only to answer no for
+    # a basis; a type missing from it is a KeyError, not a pass
     kind = type(structure)
-    validator = _VALIDATORS[kind.__module__, kind.__name__]
+    validator = {(f"{__package__}.{module}", name): validator
+                 for _, module, name, validator in _DETECTORS}[kind.__module__, kind.__name__]
     if validator is None:
         return EXIT_OK, {"valid": True, "violations": []}
     report = getattr(sys.modules[kind.__module__], validator)(structure)

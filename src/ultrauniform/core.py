@@ -366,21 +366,81 @@ def _expect_point_lists(value, n: int, field: str) -> list[list[int]]:
     ]
 
 
-def _expect_members(obj: dict, field: str, kind: str, decode) -> list:
-    """Decode each object of the nonempty JSON list obj[field] with `decode`.
+def _expect_members(obj: dict, field: str, kind: str, decode, carrier: Carrier) -> list:
+    """Decode each item k of the nonempty JSON list obj[field] as decode(item, carrier, "field[k]").
 
-    A member that is not an object is refused as `field[k]`, and an error
-    inside member k is reported after the prefix "field[k]: ".
+    Every item is decoded before any member's carrier is compared with
+    `carrier`; the first member on another is refused as `field[k]`.
     """
     raw = obj.get(field)
     if not isinstance(raw, list) or not raw:
         raise ValueError(f"field '{field}' must be a nonempty list of {kind}s")
-    members = []
-    for k, item in enumerate(raw):
-        if not isinstance(item, dict):
-            raise ValueError(f"field '{field}[{k}]' must be a {kind} object")
-        try:
-            members.append(decode(item))
-        except ValueError as exc:
-            raise ValueError(f"{field}[{k}]: {exc}") from None
+    members = [decode(item, carrier, f"{field}[{k}]") for k, item in enumerate(raw)]
+    for k, member in enumerate(members):
+        if member.carrier != carrier:
+            raise ValueError(f"field '{field}[{k}]' has mismatched 'n'")
     return members
+
+
+def _within(path: str, build, *args):
+    """build(*args), with an error inside it reported after the prefix "path: "."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+class Family:
+    """A nonempty family of members on one carrier, stored in canonical order.
+
+    A subclass declares its JSON field (`_field`) and a member's noun in
+    JSON errors (`_kind`), its refusals of an empty family and of a member
+    on another carrier (`_empty`, `_stray`), how a member is read from
+    JSON (`_member.from_json`, or its own `_decode`) and its stored order
+    (`_canonical`, which takes the checked members and may refuse them).
+    Families are equal iff their types, carriers and stored members are.
+    """
+
+    __slots__ = ("carrier", "members")
+
+    def __init__(self, carrier: Carrier, members: Iterable):
+        members = tuple(members)
+        if not members:
+            raise ValueError(self._empty)
+        for m in members:
+            if m.carrier != carrier:
+                raise CarrierMismatch(self._stray)
+        self.carrier = carrier
+        self.members = self._canonical(members)
+
+    @classmethod
+    def _decode(cls, item, carrier: Carrier, path: str):
+        """One member read from its JSON object at `path`, which prefixes an error inside it."""
+        if not isinstance(item, dict):
+            raise ValueError(f"field '{path}' must be a {cls._kind} object")
+        return _within(path, cls._member.from_json, item)
+
+    @property
+    def n(self) -> int:
+        return self.carrier.n
+
+    def to_json(self) -> dict:
+        return {"n": self.n, self._field: [m.to_json() for m in self.members]}
+
+    @classmethod
+    def from_json(cls, obj: dict):
+        carrier = Carrier(_expect_n(obj))
+        return cls(carrier, _expect_members(obj, cls._field, cls._kind, cls._decode, carrier))
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self.n == other.n
+            and self.members == other.members
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.members))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.n}, {len(self.members)} {self._field})"

@@ -17,16 +17,18 @@ from importlib import import_module
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 
-# discriminating field -> (layer module, class), tried in this order
+# discriminating field -> (layer module, class, the name of its validator in that
+# module, None where the class enforces its invariants at construction), tried in
+# this order
 _DETECTORS = (
-    ("entourages", "uniformity", "DiagonalBasis"),
-    ("covers", "uniformity", "CoverBasis"),
-    ("opens", "topology", "FiniteTopology"),
-    ("dist", "pseudometric", "Pseudometric"),
-    ("metrics", "pseudometric", "PseudometricSystem"),
-    ("steps", "pseudometric", "Chain"),
-    ("pairs", "core", "Relation"),
-    ("blocks", "core", "Partition"),
+    ("entourages", "uniformity", "DiagonalBasis", "validate_diagonal"),
+    ("covers", "uniformity", "CoverBasis", "validate_cover"),
+    ("opens", "topology", "FiniteTopology", "validate_topology"),
+    ("dist", "pseudometric", "Pseudometric", None),
+    ("metrics", "pseudometric", "PseudometricSystem", None),
+    ("steps", "pseudometric", "Chain", None),
+    ("pairs", "core", "Relation", None),
+    ("blocks", "core", "Partition", None),
 )
 
 
@@ -34,10 +36,10 @@ def detect(obj: dict) -> type:
     """Pick the structure type from the discriminating field of a payload."""
     if not isinstance(obj, dict):
         raise ValueError("expected a JSON object")
-    for field, module, name in _DETECTORS:
+    for field, module, name, _ in _DETECTORS:
         if field in obj:
             return getattr(import_module(f".{module}", __package__), name)
-    fields = ", ".join(field for field, _, _ in _DETECTORS)
+    fields = ", ".join(row[0] for row in _DETECTORS)
     raise ValueError(f"cannot detect structure: expected one of the fields {fields}")
 
 

@@ -38,12 +38,13 @@ from bisect import bisect_left
 from fractions import Fraction
 from itertools import chain, compress
 from operator import not_
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .core import (
     Carrier,
-    CarrierMismatch,
+    Family,
     Relation,
+    _expect_n,
     bits,
     is_equivalence,
     mask_of,
@@ -302,8 +303,6 @@ class Pseudometric:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Pseudometric":
-        from .core import _expect_n
-
         carrier = Carrier(_expect_n(obj))
         dist = obj.get("dist")
         if not isinstance(dist, list) or not all(isinstance(r, list) for r in dist):
@@ -395,50 +394,21 @@ def ball_relation(d: Pseudometric, eps) -> Relation:
     )
 
 
-class PseudometricSystem:
-    """A deduplicated finite family of pseudo-metrics on one carrier."""
+class PseudometricSystem(Family):
+    """A deduplicated finite family of pseudo-metrics on one carrier, sorted by tables."""
 
-    __slots__ = ("carrier", "metrics")
+    __slots__ = ()
+    metrics = Family.members
+    _field, _kind, _member = "metrics", "pseudo-metric", Pseudometric
+    _empty = "a system needs at least one pseudo-metric"
+    _stray = "pseudo-metric on a different carrier"
 
-    def __init__(self, carrier: Carrier, metrics: Iterable[Pseudometric]):
-        metrics = tuple(metrics)
-        if not metrics:
-            raise ValueError("a system needs at least one pseudo-metric")
-        for m in metrics:
-            if m.carrier != carrier:
-                raise CarrierMismatch("pseudo-metric on a different carrier")
+    @staticmethod
+    def _canonical(metrics: tuple) -> tuple:
         metrics = set(metrics)
         scale = math.lcm(*(m.scale for m in metrics))
-        self.carrier = carrier
         # ordered as by `m.dist`: scaling every grid to one scale keeps the order
-        self.metrics = tuple(sorted(metrics, key=lambda m: _grid_at(m, scale)))
-
-    @property
-    def n(self) -> int:
-        return self.carrier.n
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "metrics": [m.to_json() for m in self.metrics]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "PseudometricSystem":
-        from .core import _expect_members, _expect_n
-
-        carrier = Carrier(_expect_n(obj))
-        return cls(carrier, _expect_members(obj, "metrics", "pseudo-metric", Pseudometric.from_json))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PseudometricSystem)
-            and self.n == other.n
-            and self.metrics == other.metrics
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.metrics))
-
-    def __repr__(self) -> str:
-        return f"PseudometricSystem({self.n}, {len(self.metrics)} metrics)"
+        return tuple(sorted(metrics, key=lambda m: _grid_at(m, scale)))
 
     def principal(self) -> Relation:
         """Z, the pairs at distance 0 in every metric, read straight from the grids.
@@ -468,53 +438,28 @@ def basis_from_system(m: PseudometricSystem) -> DiagonalBasis:
     return DiagonalBasis(m.carrier, [m.principal()])
 
 
-class Chain:
+class Chain(Family):
     """Descending steps [D1..Dk]: D1 the full relation, then equivalences.
 
     The chain is eventually constant: D_m = D_k for every m >= k.
     """
 
-    __slots__ = ("carrier", "steps")
+    __slots__ = ()
+    steps = Family.members
+    _field, _kind, _member = "steps", "relation", Relation
+    _empty = "a chain needs at least one step"
+    _stray = "chain step on a different carrier"
 
-    def __init__(self, carrier: Carrier, steps: Iterable[Relation]):
-        steps = tuple(steps)
-        if not steps:
-            raise ValueError("a chain needs at least one step")
-        for s in steps:
-            if s.carrier != carrier:
-                raise CarrierMismatch("chain step on a different carrier")
-        if steps[0] != Relation.full(carrier):
+    @staticmethod
+    def _canonical(steps: tuple) -> tuple:
+        if steps[0] != Relation.full(steps[0].carrier):
             raise ValueError("the first chain step must be the full relation")
         for i, s in enumerate(steps[1:], start=2):
             if not is_equivalence(s):
                 raise ValueError(f"chain step {i} is not an equivalence relation")
             if not s.issubset(steps[i - 2]):
                 raise ValueError(f"chain step {i} is not contained in step {i - 1}")
-        self.carrier = carrier
-        self.steps = steps
-
-    @property
-    def n(self) -> int:
-        return self.carrier.n
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "steps": [s.to_json() for s in self.steps]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Chain":
-        from .core import _expect_members, _expect_n
-
-        carrier = Carrier(_expect_n(obj))
-        return cls(carrier, _expect_members(obj, "steps", "relation", Relation.from_json))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Chain) and self.n == other.n and self.steps == other.steps
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.steps))
-
-    def __repr__(self) -> str:
-        return f"Chain({self.n}, depth {len(self.steps)})"
+        return steps
 
 
 def chain_pm(kappa: Chain) -> Pseudometric:

@@ -8,6 +8,8 @@ from .core import (
     Carrier,
     Partition,
     Relation,
+    _expect_n,
+    _expect_point_lists,
     bits,
     mask_of,
     to_partition,
@@ -49,8 +51,6 @@ class FiniteTopology:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FiniteTopology":
-        from .core import _expect_n, _expect_point_lists
-
         n = _expect_n(obj)
         return cls(Carrier(n), _expect_point_lists(obj.get("opens"), n, "opens"))
 

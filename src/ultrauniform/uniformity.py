@@ -27,11 +27,13 @@ from typing import Iterable
 
 from .core import (
     Carrier,
-    CarrierMismatch,
+    Family,
     Partition,
     Relation,
     ValidationError,
+    _expect_point_lists,
     _relation_json,
+    _within,
     bits,
     compose,
     inverse,
@@ -76,52 +78,18 @@ def _refusal(what: str, axiom: str, report) -> ValidationError:
     return ValidationError(f"invalid {what}: {axiom}", report=report)
 
 
-class DiagonalBasis:
-    """A deduplicated, canonically ordered generating family of entourages."""
+class DiagonalBasis(Family):
+    """A deduplicated generating family of entourages, sorted by rows."""
 
-    __slots__ = ("carrier", "entourages")
+    __slots__ = ()
+    entourages = Family.members  # the slot, read under the paper's name
+    _field, _kind, _member = "entourages", "relation", Relation
+    _empty = "a diagonal basis needs at least one entourage"
+    _stray = "entourage on a different carrier"
 
-    def __init__(self, carrier: Carrier, entourages: Iterable[Relation]):
-        entourages = tuple(entourages)
-        if not entourages:
-            raise ValueError("a diagonal basis needs at least one entourage")
-        for e in entourages:
-            if e.carrier != carrier:
-                raise CarrierMismatch("entourage on a different carrier")
-        unique = sorted(set(entourages), key=lambda r: r.rows)
-        self.carrier = carrier
-        self.entourages = tuple(unique)
-
-    @property
-    def n(self) -> int:
-        return self.carrier.n
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "entourages": [e.to_json() for e in self.entourages]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "DiagonalBasis":
-        from .core import _expect_members, _expect_n
-
-        carrier = Carrier(_expect_n(obj))
-        rels = _expect_members(obj, "entourages", "relation", Relation.from_json)
-        for k, rel in enumerate(rels):
-            if rel.carrier != carrier:
-                raise ValueError(f"field 'entourages[{k}]' has mismatched 'n'")
-        return cls(carrier, rels)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DiagonalBasis)
-            and self.n == other.n
-            and self.entourages == other.entourages
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.entourages))
-
-    def __repr__(self) -> str:
-        return f"DiagonalBasis({self.n}, {len(self.entourages)} entourages)"
+    @staticmethod
+    def _canonical(entourages: tuple) -> tuple:
+        return tuple(sorted(set(entourages), key=lambda r: r.rows))
 
     def principal(self) -> Relation:
         """D_min, which generates the uniformity, decided valid in O(k*n) word operations.
@@ -188,6 +156,8 @@ class Cover:
     def sets_as_lists(self) -> list[list[int]]:
         return [list(bits(m)) for m in self.sets]
 
+    to_json = sets_as_lists
+
     def __eq__(self, other) -> bool:
         return isinstance(other, Cover) and self.n == other.n and self.sets == other.sets
 
@@ -198,55 +168,23 @@ class Cover:
         return f"Cover({self.n}, {self.sets_as_lists()})"
 
 
-class CoverBasis:
-    """A deduplicated family of covers generating a covering uniformity."""
+class CoverBasis(Family):
+    """A deduplicated family of covers generating a covering uniformity, sorted by sets."""
 
-    __slots__ = ("carrier", "covers")
+    __slots__ = ()
+    covers = Family.members
+    _field, _kind = "covers", "cover"
+    _empty = "a cover basis needs at least one cover"
+    _stray = "cover on a different carrier"
 
-    def __init__(self, carrier: Carrier, covers: Iterable[Cover]):
-        covers = tuple(covers)
-        if not covers:
-            raise ValueError("a cover basis needs at least one cover")
-        for c in covers:
-            if c.carrier != carrier:
-                raise CarrierMismatch("cover on a different carrier")
-        unique = sorted(set(covers), key=lambda c: c.sets)
-        self.carrier = carrier
-        self.covers = tuple(unique)
+    @staticmethod
+    def _canonical(covers: tuple) -> tuple:
+        return tuple(sorted(set(covers), key=lambda c: c.sets))
 
-    @property
-    def n(self) -> int:
-        return self.carrier.n
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "covers": [c.sets_as_lists() for c in self.covers]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "CoverBasis":
-        from .core import _expect_n, _expect_point_lists
-
-        n = _expect_n(obj)
-        carrier = Carrier(n)
-        raw = obj.get("covers")
-        if not isinstance(raw, list) or not raw:
-            raise ValueError("field 'covers' must be a nonempty list of covers")
-        covers = [
-            Cover(carrier, _expect_point_lists(item, n, f"covers[{k}]")) for k, item in enumerate(raw)
-        ]
-        return cls(carrier, covers)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CoverBasis)
-            and self.n == other.n
-            and self.covers == other.covers
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.covers))
-
-    def __repr__(self) -> str:
-        return f"CoverBasis({self.n}, {len(self.covers)} covers)"
+    @staticmethod
+    def _decode(item, carrier: Carrier, path: str) -> Cover:
+        """One cover read from its JSON list of point lists at `path`."""
+        return _within(path, Cover, carrier, _expect_point_lists(item, carrier.n, path))
 
     def principal(self) -> Relation:
         """R_F; an invalid basis raises ValidationError with its `validate_cover` report."""

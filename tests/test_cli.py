@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 from ultrauniform.cli import (
     GEN_CAPS,
     _STRUCTURE_VERBS,
-    _VALIDATORS,
     congruence_relation,
     ideal_chain_basis,
     main,
@@ -212,8 +211,7 @@ class TestTopoCheck:
 
 class TestValidate:
     def test_validate_table_covers_every_detected_type(self):
-        for _, module, name in _DETECTORS:
-            validator = _VALIDATORS[f"ultrauniform.{module}", name]
+        for _, module, name, validator in _DETECTORS:
             layer = importlib.import_module(f"ultrauniform.{module}")
             assert isinstance(getattr(layer, name), type)
             assert validator is None or callable(getattr(layer, validator))
@@ -1143,7 +1141,7 @@ class TestGeneratorHelpers:
                 assert congruence_relation(modulus, step) == Relation.from_pairs(carrier, pairs)
 
 
-FIELDS = ["n"] + [field for field, _, _ in _DETECTORS]
+FIELDS = ["n"] + [row[0] for row in _DETECTORS]
 STRUCTURE_VERB_FORMS = [
     ["validate"], ["convert", "--to", "cover"], ["convert", "--to", "diagonal"], ["check-na"],
     ["metrize"], ["pm-system"], ["topo-check"], ["uniformize"], ["roundtrip"],
