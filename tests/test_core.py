@@ -3,6 +3,7 @@
 import random
 import re
 from operator import or_
+from typing import Callable, NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -419,10 +420,17 @@ def random_chain_steps(rng, n):
     return steps
 
 
-# per family: seeded members on n points, its refusals of an empty family and of a
-# member on another carrier, and a payload with one bad member with the error naming it
+class FamilyCase(NamedTuple):
+    family: type
+    members: Callable  # (rng, n) -> seeded members on n points
+    empty: str  # the refusal of an empty family
+    stray: str  # the refusal of a member on another carrier
+    payload: dict  # JSON with one bad member
+    error: str  # the error that names it
+
+
 FAMILIES = [
-    pytest.param(
+    FamilyCase(
         DiagonalBasis,
         lambda rng, n: [Relation(Carrier(n), [rng.getrandbits(n) for _ in range(n)])
                         for _ in range(rng.randint(1, 5))],
@@ -430,27 +438,24 @@ FAMILIES = [
         "entourage on a different carrier",
         {"n": 3, "entourages": [{"n": 3, "pairs": []}, {"n": 2, "pairs": [[0, 0]]}]},
         "field 'entourages[1]' has mismatched 'n'",
-        id="DiagonalBasis",
     ),
-    pytest.param(
+    FamilyCase(
         CoverBasis,
         lambda rng, n: list(random_cover_basis(rng, n).covers),
         "a cover basis needs at least one cover",
         "cover on a different carrier",
         {"n": 2, "covers": [[[0, 1]], [[0]]]},
         "covers[1]: sets do not cover the carrier",
-        id="CoverBasis",
     ),
-    pytest.param(
+    FamilyCase(
         PseudometricSystem,
         lambda rng, n: [random_ultrametric(rng, n) for _ in range(rng.randint(1, 4))],
         "a system needs at least one pseudo-metric",
         "pseudo-metric on a different carrier",
         {"n": 3, "metrics": [{"n": 2, "dist": [[0, 1], [1, 0]]}]},
         "field 'metrics[0]' has mismatched 'n'",
-        id="PseudometricSystem",
     ),
-    pytest.param(
+    FamilyCase(
         Chain,
         random_chain_steps,
         "a chain needs at least one step",
@@ -458,65 +463,59 @@ FAMILIES = [
         {"n": 3, "steps": [{"n": 3, "pairs": [[x, y] for x in range(3) for y in range(3)]},
                            {"n": 2, "pairs": [[0, 0], [1, 1]]}]},
         "field 'steps[1]' has mismatched 'n'",
-        id="Chain",
     ),
 ]
 
 
-@pytest.mark.parametrize("family, members, empty, stray, payload, error", FAMILIES)
+@pytest.mark.parametrize("case", FAMILIES, ids=[case.family.__name__ for case in FAMILIES])
 class TestFamily:
-    def test_the_shared_plumbing_is_defined_once(self, family, members, empty, stray,
-                                                 payload, error):
+    def test_the_shared_plumbing_is_defined_once(self, case):
+        assert issubclass(case.family, Family)
         for name in ("n", "to_json", "from_json", "__eq__", "__hash__", "__repr__"):
-            assert name not in vars(family)
-        assert family.__slots__ == ()
+            assert name not in vars(case.family)
+        assert case.family.__slots__ == ()
 
-    def test_an_empty_family_is_refused(self, family, members, empty, stray, payload, error):
-        with pytest.raises(ValueError, match=f"^{re.escape(empty)}$"):
-            family(C3, [])
-        with pytest.raises(ValueError, match=f"^{re.escape(empty)}$"):
-            family(C3, iter(()))
+    def test_an_empty_family_is_refused(self, case):
+        for empty in ([], iter(())):
+            with pytest.raises(ValueError, match=f"^{re.escape(case.empty)}$"):
+                case.family(C3, empty)
 
-    def test_a_member_on_another_carrier_is_refused(self, family, members, empty, stray,
-                                                    payload, error):
+    def test_a_member_on_another_carrier_is_refused(self, case):
         rng = random.Random(23)
         for n in range(1, 6):
-            own, other = members(rng, n), members(rng, n + 1)
-            with pytest.raises(CarrierMismatch, match=f"^{re.escape(stray)}$"):
-                family(Carrier(n), own + other[-1:])
+            own, other = case.members(rng, n), case.members(rng, n + 1)
+            with pytest.raises(CarrierMismatch, match=f"^{re.escape(case.stray)}$"):
+                case.family(Carrier(n), own + other[-1:])
 
-    def test_the_stored_order_ignores_input_order(self, family, members, empty, stray,
-                                                  payload, error):
+    def test_the_stored_order_ignores_input_order(self, case):
         rng = random.Random(2300)
         for _ in range(60):
             n = rng.randint(1, 6)
-            listed = members(rng, n)
-            f = family(Carrier(n), listed)
+            listed = case.members(rng, n)
+            f = case.family(Carrier(n), listed)
             assert getattr(f, f._field) is f.members
-            if family is Chain:  # a chain keeps its order, repeated steps too
+            if case.family is Chain:  # a chain keeps its order, repeated steps too
                 assert f.members == tuple(listed)
-                g = family(Carrier(n), listed + listed[-1:])
+                g = Chain(Carrier(n), listed + listed[-1:])
                 assert g.members == f.members + f.members[-1:] and g != f
                 continue
             assert len(set(f.members)) == len(f.members)
             again = rng.sample(listed, len(listed)) + rng.choices(listed, k=rng.randint(1, 3))
-            g = family(Carrier(n), again)
+            g = case.family(Carrier(n), again)
             assert g.members == f.members
             assert g == f and hash(g) == hash(f)
-            assert g != family(Carrier(n + 1), members(rng, n + 1))
+            assert g != case.family(Carrier(n + 1), case.members(rng, n + 1))
 
-    def test_json_round_trip(self, family, members, empty, stray, payload, error):
+    def test_json_round_trip(self, case):
         rng = random.Random(2301)
         for _ in range(40):
             n = rng.randint(1, 6)
-            f = family(Carrier(n), members(rng, n))
-            assert family.from_json(f.to_json()) == f
+            f = case.family(Carrier(n), case.members(rng, n))
+            assert case.family.from_json(f.to_json()) == f
             assert loads(dumps(f)) == f
-            assert repr(f) == f"{family.__name__}({n}, {len(f.members)} {f._field})"
+            assert repr(f) == f"{case.family.__name__}({n}, {len(f.members)} {f._field})"
 
-    def test_a_bad_member_is_named_by_its_path(self, family, members, empty, stray,
-                                               payload, error):
+    def test_a_bad_member_is_named_by_its_path(self, case):
         with pytest.raises(ValueError) as refused:
-            family.from_json(payload)
-        assert str(refused.value) == error
-        assert issubclass(family, Family)
+            case.family.from_json(case.payload)
+        assert str(refused.value) == case.error
