@@ -1,4 +1,4 @@
-"""Finite carriers, bit-matrix relations, and partitions.
+"""Finite carriers and bit-matrix relations; a partition is read as its equivalence.
 
 Points of an n-point carrier are the indices 0..n-1, so subsets of the
 carrier fit in int bitmasks and a relation fits in one mask per row.
@@ -134,6 +134,26 @@ class Relation:
         return cls(carrier, rows)
 
     @classmethod
+    def from_blocks(cls, carrier: Carrier, blocks: Iterable[Iterable[int]]) -> "Relation":
+        """The equivalence whose classes are the blocks, which must partition the carrier."""
+        rows = [0] * carrier.n
+        seen = 0
+        for block in blocks:
+            m = mask_of(block)
+            if m == 0:
+                raise ValueError("empty block")
+            if m & ~carrier.full_mask:
+                raise ValueError("block mentions points outside the carrier")
+            if m & seen:
+                raise ValueError("blocks overlap")
+            seen |= m
+            for x in bits(m):
+                rows[x] = m
+        if seen != carrier.full_mask:
+            raise ValueError("blocks do not cover the carrier")
+        return cls._trusted(carrier, tuple(rows))
+
+    @classmethod
     def identity(cls, carrier: Carrier) -> "Relation":
         return cls(carrier, (1 << x for x in carrier.points))
 
@@ -180,8 +200,11 @@ class Relation:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Relation":
+        """Read `pairs`, or the `blocks` of an equivalence when there are no pairs."""
         n = _expect_n(obj)
         carrier = Carrier(n)
+        if "pairs" not in obj and "blocks" in obj:
+            return cls.from_blocks(carrier, _expect_point_lists(obj["blocks"], n, "blocks"))
         pairs = obj.get("pairs")
         if not isinstance(pairs, list):
             raise ValueError("field 'pairs' must be a list of [i, j] pairs")
@@ -248,92 +271,6 @@ def is_equivalence(r: Relation) -> bool:
     R[y] = R[x], so R is symmetric and transitive.
     """
     return r.is_reflexive() and sum(map(int.bit_count, set(r.rows))) == len(r.rows)
-
-
-class Partition:
-    """Disjoint nonempty blocks covering the carrier, in canonical order.
-
-    Canonical order: blocks sorted by their minimum element, elements
-    ascending, so structural equality is mathematical equality.
-    """
-
-    __slots__ = ("carrier", "blocks")
-
-    def __init__(self, carrier: Carrier, blocks: Iterable[Iterable[int]]):
-        masks = []
-        seen = 0
-        for block in blocks:
-            m = mask_of(block)
-            if m == 0:
-                raise ValueError("empty block")
-            if m & ~carrier.full_mask:
-                raise ValueError("block mentions points outside the carrier")
-            if m & seen:
-                raise ValueError("blocks overlap")
-            seen |= m
-            masks.append(m)
-        if seen != carrier.full_mask:
-            raise ValueError("blocks do not cover the carrier")
-        masks.sort(key=lambda m: m & -m)
-        self.carrier = carrier
-        self.blocks = tuple(tuple(bits(m)) for m in masks)
-
-    @property
-    def n(self) -> int:
-        return self.carrier.n
-
-    @property
-    def masks(self) -> tuple[int, ...]:
-        return tuple(mask_of(b) for b in self.blocks)
-
-    def to_relation(self) -> Relation:
-        rows = [0] * self.n
-        for block in self.blocks:
-            m = mask_of(block)
-            for x in block:
-                rows[x] = m
-        return Relation(self.carrier, rows)
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "blocks": [list(b) for b in self.blocks]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Partition":
-        n = _expect_n(obj)
-        return cls(Carrier(n), _expect_point_lists(obj.get("blocks"), n, "blocks"))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Partition)
-            and self.n == other.n
-            and self.blocks == other.blocks
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.blocks))
-
-    def __repr__(self) -> str:
-        return f"Partition({self.n}, {[list(b) for b in self.blocks]})"
-
-
-def to_partition(e: Relation) -> Partition:
-    """Convert an equivalence relation to its partition of classes, its distinct rows."""
-    if not is_equivalence(e):
-        raise ValidationError("relation is not an equivalence relation")
-    return Partition(e.carrier, map(bits, set(e.rows)))
-
-
-def refines(fine, coarse) -> bool:
-    """True iff every set of `fine` is contained in some set of `coarse`.
-
-    Both arguments may be Partitions or Covers (anything exposing a
-    carrier and a `masks` tuple).
-    """
-    same_carrier(fine, coarse)
-    coarse_masks = coarse.masks
-    return all(
-        any(f & ~c == 0 for c in coarse_masks) for f in fine.masks
-    )
 
 
 N_CAP = 2000  # the largest "n" a JSON structure may declare, at least gen's --size cap

@@ -28,7 +28,7 @@ _DETECTORS = (
     ("metrics", "pseudometric", "PseudometricSystem", None),
     ("steps", "pseudometric", "Chain", None),
     ("pairs", "core", "Relation", None),
-    ("blocks", "core", "Partition", None),
+    ("blocks", "core", "Relation", None),  # an equivalence, read from its classes
 )
 
 

@@ -23,14 +23,11 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .core import (
     Carrier,
-    Partition,
     Relation,
     bits,
     compose,
     inverse,
     is_equivalence,
-    refines,
-    to_partition,
 )
 from .pseudometric import (
     Pseudometric,
@@ -53,8 +50,10 @@ from .uniformity import (
     DiagonalBasis,
     ValidationReport,
     cover_basis_from_diagonal,
+    cover_from_relation,
     has_partition_basis,
     is_non_archimedean,
+    refines,
     relation_from_cover,
     roundtrip,
     uniformity_equal,
@@ -97,8 +96,21 @@ def bell_number(n: int) -> int:
     return row[-1]
 
 
-def enumerate_partitions(n: int) -> Iterator[Partition]:
-    """All partitions of {0..n-1} via restricted growth strings."""
+def _labelled(carrier: Carrier, labels: Sequence[int]) -> Relation:
+    """The equivalence relating the points with equal labels."""
+    classes: dict[int, int] = {}
+    for x, b in enumerate(labels):
+        classes[b] = classes.get(b, 0) | 1 << x
+    return Relation(carrier, map(classes.__getitem__, labels))
+
+
+def _classes(e: Relation) -> list[int]:
+    """The classes of an equivalence, ordered by their least points."""
+    return list(dict.fromkeys(e.rows))
+
+
+def enumerate_equivalences(n: int) -> Iterator[Relation]:
+    """Every equivalence on {0..n-1} (every partition) via restricted growth strings."""
     carrier = Carrier(n)
 
     def grow(prefix: list[int], used: int) -> Iterator[list[int]]:
@@ -108,16 +120,8 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
         for b in range(used + 1):
             yield from grow(prefix + [b], max(used, b + 1))
 
-    for assignment in grow([0], 1):
-        blocks: dict[int, list[int]] = {}
-        for x, b in enumerate(assignment):
-            blocks.setdefault(b, []).append(x)
-        yield Partition(carrier, blocks.values())
-
-
-def enumerate_equivalences(n: int) -> Iterator[Relation]:
-    for p in enumerate_partitions(n):
-        yield p.to_relation()
+    for labels in grow([0], 1):
+        yield _labelled(carrier, labels)
 
 
 def enumerate_relations(n: int) -> Iterator[Relation]:
@@ -193,8 +197,8 @@ def enumerate_preorder_topologies(n: int) -> Iterator[FiniteTopology]:
     """
     carrier = Carrier(n)
     up_set_families: dict[int, list[list[int]]] = {}  # per block count, per order
-    for p in enumerate_partitions(n):
-        blocks = p.masks
+    for e in enumerate_equivalences(n):
+        blocks = _classes(e)
         k = len(blocks)
         if k not in up_set_families:
             up_set_families[k] = [
@@ -256,18 +260,10 @@ def enumerate_valid_cover_bases(n: int, max_covers: int = 2) -> Iterator[CoverBa
 # random structure generators
 
 
-def random_partition(rng: random.Random, n: int) -> Partition:
-    carrier = Carrier(n)
-    k = rng.randint(1, n)
-    assignment = [rng.randrange(k) for _ in range(n)]
-    blocks: dict[int, list[int]] = {}
-    for x, b in enumerate(assignment):
-        blocks.setdefault(b, []).append(x)
-    return Partition(carrier, blocks.values())
-
-
 def random_equivalence(rng: random.Random, n: int) -> Relation:
-    return random_partition(rng, n).to_relation()
+    """The equivalence of a random labelling of the points with at most k labels, k in 1..n."""
+    k = rng.randint(1, n)
+    return _labelled(Carrier(n), [rng.randrange(k) for _ in range(n)])
 
 
 def random_equivalence_basis(rng: random.Random, n: int, max_generators: int = 3) -> DiagonalBasis:
@@ -301,11 +297,11 @@ def random_valid_basis(rng: random.Random, n: int) -> DiagonalBasis:
 def random_cover_basis(rng: random.Random, n: int) -> CoverBasis:
     """A valid cover basis: partitions plus covers they refine."""
     carrier = Carrier(n)
-    parts = [random_partition(rng, n) for _ in range(rng.randint(1, 2))]
-    covers = [Cover.from_partition(p) for p in parts]
-    for p in parts:
+    parts = [random_equivalence(rng, n) for _ in range(rng.randint(1, 2))]
+    covers = [cover_from_relation(e) for e in parts]
+    for e in parts:
         if rng.random() < 0.7:
-            masks = list(p.masks)
+            masks = _classes(e)
             sets = []
             covered = 0
             for m in masks:
@@ -566,7 +562,7 @@ def search_partition_basis(cb: CoverBasis) -> tuple[bool, Optional[CoverBasis]]:
     slow_validate_cover(cb).require("cover basis")
 
     def classes(u: Cover) -> Cover:
-        return Cover.from_partition(to_partition(eq_closure(relation_from_cover(u))))
+        return cover_from_relation(eq_closure(relation_from_cover(u)))
 
     candidates = [classes(v) for v in cb.covers] + [classes(slow_finest_refinement(cb))]
     witness = []
@@ -641,8 +637,8 @@ def _roundtrip_instances(n: int) -> Iterator[object]:
         yield from enumerate_valid_cover_bases(n)
     else:
         carrier = Carrier(n)
-        for p in enumerate_partitions(n):
-            yield CoverBasis(carrier, [Cover.from_partition(p)])
+        for e in enumerate_equivalences(n):
+            yield CoverBasis(carrier, [cover_from_relation(e)])
 
 
 def _metrization_instances(n: int) -> Iterator[DiagonalBasis]:

@@ -6,13 +6,13 @@ from typing import Iterable, Optional
 
 from .core import (
     Carrier,
-    Partition,
     Relation,
+    ValidationError,
     _expect_n,
     _expect_point_lists,
     bits,
+    is_equivalence,
     mask_of,
-    to_partition,
 )
 from .uniformity import DiagonalBasis, ValidationReport, normalize
 
@@ -201,18 +201,17 @@ def uniformity_from_binary_maps(maps: Iterable[BinaryMap]) -> DiagonalBasis:
     return normalize(DiagonalBasis(maps[0].carrier, [m.relation() for m in maps]))
 
 
-def partition_topology(p: Partition) -> FiniteTopology:
-    """Opens are exactly the unions of blocks."""
-    block_masks = p.masks
-    if len(block_masks) > 16:
+def partition_topology(e: Relation) -> FiniteTopology:
+    """Opens are exactly the unions of the classes of the equivalence e."""
+    if not is_equivalence(e):
+        raise ValidationError("relation is not an equivalence relation")
+    classes = set(e.rows)
+    if len(classes) > 16:
         raise ValueError("too many blocks to materialize the open family")
-    opens = set()
-    for choice in range(1 << len(block_masks)):
-        m = 0
-        for i in bits(choice):
-            m |= block_masks[i]
-        opens.add(m)
-    return FiniteTopology(p.carrier, opens)
+    opens = [0]
+    for c in classes:
+        opens += [o | c for o in opens]
+    return FiniteTopology(e.carrier, opens)
 
 
 def induced_topology(b: DiagonalBasis) -> FiniteTopology:
@@ -221,7 +220,7 @@ def induced_topology(b: DiagonalBasis) -> FiniteTopology:
     On a finite carrier the intersection closure has a minimum entourage,
     so this is the partition topology of its equivalence classes.
     """
-    return partition_topology(to_partition(b.principal()))
+    return partition_topology(b.principal())
 
 
 def is_uniformizable_na(

@@ -28,7 +28,6 @@ from typing import Iterable
 from .core import (
     Carrier,
     Family,
-    Partition,
     Relation,
     ValidationError,
     _expect_point_lists,
@@ -39,7 +38,6 @@ from .core import (
     inverse,
     is_equivalence,
     mask_of,
-    refines,
     same_carrier,
 )
 
@@ -127,17 +125,9 @@ class Cover:
         self.carrier = carrier
         self.sets = tuple(sorted(masks, key=lambda m: tuple(bits(m))))
 
-    @classmethod
-    def from_partition(cls, p: Partition) -> "Cover":
-        return cls(p.carrier, p.masks)
-
     @property
     def n(self) -> int:
         return self.carrier.n
-
-    @property
-    def masks(self) -> tuple[int, ...]:
-        return self.sets
 
     @property
     def is_partition(self) -> bool:
@@ -147,11 +137,6 @@ class Cover:
                 return False
             seen |= m
         return True
-
-    def to_partition(self) -> Partition:
-        if not self.is_partition:
-            raise ValidationError("cover sets overlap; not a partition")
-        return Partition(self.carrier, (tuple(bits(m)) for m in self.sets))
 
     def sets_as_lists(self) -> list[list[int]]:
         return [list(bits(m)) for m in self.sets]
@@ -166,6 +151,12 @@ class Cover:
 
     def __repr__(self) -> str:
         return f"Cover({self.n}, {self.sets_as_lists()})"
+
+
+def refines(fine: Cover, coarse: Cover) -> bool:
+    """True iff every set of `fine` lies inside some set of `coarse`."""
+    same_carrier(fine, coarse)
+    return all(any(f & ~c == 0 for c in coarse.sets) for f in fine.sets)
 
 
 class CoverBasis(Family):
@@ -311,12 +302,16 @@ def diagonal_from_cover_basis(cb: CoverBasis) -> DiagonalBasis:
     return DiagonalBasis(cb.carrier, [cb.principal()])
 
 
+MEET_CAP = 1 << 18  # the most sets a step of an invalid cover basis's meet F may build (README)
+
+
 def _cover_verdict(cb: CoverBasis) -> tuple[Relation, ValidationReport]:
     """R_F, the AND of the covers' co-residence relations, and the basis's report.
 
     Points lie together in a set of F, the meet of the covers, iff they lie
     together in a set of every cover, so R_F is F's co-residence and the
-    star of a set f of F is the OR of R_F[x] over x in f.
+    star of a set f of F is the OR of R_F[x] over x in f.  A step of F
+    that could pass MEET_CAP sets raises ValueError before it is built.
     """
     rows = relation_from_cover(cb.covers[0]).rows
     for c in cb.covers[1:]:
@@ -327,6 +322,8 @@ def _cover_verdict(cb: CoverBasis) -> tuple[Relation, ValidationReport]:
     else:  # build F, the nonempty intersections of one set from each cover
         meet = set(cb.covers[0].sets)
         for c in cb.covers[1:]:
+            if len(meet) * len(c.sets) > MEET_CAP:
+                raise ValueError(f"the meet of the covers is over its cap of {MEET_CAP} sets")
             meet = {x & y for x in meet for y in c.sets} - {0}
         stars = {reduce(or_, map(rows.__getitem__, bits(f))) for f in meet}
     return r_f, ValidationReport(

@@ -33,7 +33,7 @@ from ultrauniform.jsonio import _DETECTORS, dumps
 from ultrauniform.oracle import check_strong_triangle, eq_closure
 from ultrauniform.pseudometric import Pseudometric, PseudometricSystem, basis_from_system
 from ultrauniform.topology import sierpinski_topology
-from ultrauniform.uniformity import CoverBasis, DiagonalBasis, uniformity_equal
+from ultrauniform.uniformity import MEET_CAP, CoverBasis, DiagonalBasis, uniformity_equal
 
 
 def run(capsys, *argv):
@@ -194,6 +194,33 @@ class TestJsonSizeCap:
         payload = {"n": 1, field: [{"n": self.over, **member}]}
         code, obj = run(capsys, "validate", "--in", json.dumps(payload))
         assert (code, obj) == (2, {"error": f"{field}[0]: {self.message}"})
+
+
+def pinched_covers(k):
+    """The covers {X - {i}, X - {i + k}} of X = 2k points: R_F is not transitive, F has 2^k sets."""
+    full = range(2 * k)
+    return {"n": 2 * k, "covers": [[[x for x in full if x != i], [x for x in full if x != i + k]]
+                                   for i in range(k)]}
+
+
+class TestCoverMeetCap:
+    """An invalid cover basis builds its meet F only while each step stays under MEET_CAP."""
+
+    def test_the_largest_meet_under_the_cap_keeps_its_report(self, capsys):
+        assert MEET_CAP == 2**18  # F of 18 covers reaches it exactly
+        code = main(["validate", "--in", json.dumps(pinched_covers(18))])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "590882eaa7bef1867f7d48fe04e54ce91823ec3d1ff310a6e3920eb69376e279"
+        )
+
+    @pytest.mark.parametrize("argv", [["validate"], ["convert", "--to", "diagonal"], ["roundtrip"]],
+                             ids=["validate", "convert", "roundtrip"])
+    def test_one_step_over_the_cap_exits_two_naming_it(self, capsys, argv):
+        code, obj = run(capsys, *argv, "--in", json.dumps(pinched_covers(19)))
+        message = f"the meet of the covers is over its cap of {MEET_CAP} sets"
+        assert (code, obj) == (2, {"error": message})
 
 
 class TestTopoCheck:
@@ -911,14 +938,15 @@ class TestCoverRelabelling:
 
     @staticmethod
     def cover_bases(rng):
-        from ultrauniform.oracle import random_cover_basis, random_partition
+        from ultrauniform.oracle import random_cover_basis, random_equivalence
 
         for i in range(150):
             n = rng.randint(2, 7)
             if i % 3 == 0:
                 yield random_cover_basis(rng, n).to_json()["covers"]
             elif i % 3 == 1:  # a partition, and a cover of each block B by B - {a}, B - {b}, B - {c}
-                blocks = [list(b) for b in random_partition(rng, n).blocks]
+                classes = dict.fromkeys(random_equivalence(rng, n).rows)  # by least point
+                blocks = [[x for x in range(n) if c >> x & 1] for c in classes]
                 triangles = [
                     [x for x in b if x != y] for b in blocks if len(b) > 2 for y in rng.sample(b, 3)
                 ]
@@ -1086,6 +1114,21 @@ class TestStartup:
         assert not loaded & {f"ultrauniform.{m}" for m in skipped}
         if "pseudometric" in skipped:
             assert not loaded & {"fractions", "decimal"}
+
+    @pytest.mark.parametrize("payload", [
+        {"n": 4, "blocks": [[0, 3], [1], [2]]},
+        {"n": 3, "pairs": [[0, 0], [0, 2], [1, 1], [2, 2]]},
+    ], ids=["blocks", "pairs"])
+    def test_validate_on_a_relation_loads_only_core(self, payload):
+        statement = (
+            "import contextlib, io\n"
+            "from ultrauniform.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main(['validate', '--in', {json.dumps(payload)!r}]) == 0"
+        )
+        loaded = loaded_modules(statement)
+        assert "ultrauniform.core" in loaded
+        assert not loaded & {"ultrauniform.uniformity", "fractions"}
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,5 +1,7 @@
-"""Relations, partitions, the closure algebra, and the family base."""
+"""Relations, equivalences read from blocks, the closure algebra, and the family base."""
 
+import contextlib
+import io
 import random
 import re
 from operator import or_
@@ -13,18 +15,16 @@ from ultrauniform.core import (
     Carrier,
     CarrierMismatch,
     Family,
-    Partition,
     Relation,
-    ValidationError,
+    bits,
     compose,
     inverse,
     is_equivalence,
-    refines,
-    to_partition,
 )
+from ultrauniform.cli import main
 from ultrauniform.oracle import (
     bell_number,
-    enumerate_partitions,
+    enumerate_equivalences,
     enumerate_relations,
     eq_closure,
     random_cover_basis,
@@ -34,7 +34,14 @@ from ultrauniform.oracle import (
 )
 from ultrauniform.jsonio import dumps, loads
 from ultrauniform.pseudometric import Chain, PseudometricSystem
-from ultrauniform.uniformity import Cover, CoverBasis, DiagonalBasis, has_partition_basis
+from ultrauniform.uniformity import (
+    CoverBasis,
+    DiagonalBasis,
+    cover_from_relation,
+    has_partition_basis,
+    refines,
+    relation_from_cover,
+)
 
 C3 = Carrier(3)
 ALL_N3 = list(enumerate_relations(3))
@@ -186,11 +193,10 @@ class TestIsSymmetric:
 class TestEqClosure:
     def test_single_pair(self):
         e = eq_closure(rel([(0, 1)]))
-        assert to_partition(e) == Partition(C3, [[0, 1], [2]])
+        assert e == Relation.from_blocks(C3, [[0, 1], [2]])
 
     def test_fixed_on_equivalences(self):
-        for p in enumerate_partitions(4):
-            e = p.to_relation()
+        for e in enumerate_equivalences(4):
             assert eq_closure(e) == e
 
     def test_two_pairs_fill(self):
@@ -241,99 +247,168 @@ class TestComposeTransitivityLink:
             assert is_equivalence(r) == (refl and sym and trans)
 
 
-class TestPartitionConversions:
+def blocks_of(e):
+    """The classes of an equivalence as point lists, ordered by their least points."""
+    return [list(bits(c)) for c in dict.fromkeys(e.rows)]
+
+
+class TestFromBlocks:
     def test_classes_to_blocks(self):
         e = eq_closure(rel([(0, 1)]))
-        assert to_partition(e).blocks == ((0, 1), (2,))
+        assert blocks_of(e) == [[0, 1], [2]]
+        assert e.rows == (0b011, 0b011, 0b100)
 
     def test_identity_singletons(self):
-        p = to_partition(Relation.identity(C3))
-        assert p.blocks == ((0,), (1,), (2,))
-        assert p.to_relation() == Relation.identity(C3)
+        assert Relation.from_blocks(C3, [[0], [1], [2]]) == Relation.identity(C3)
+        assert blocks_of(Relation.identity(C3)) == [[0], [1], [2]]
 
-    def test_round_trip_all_partitions_of_four(self):
-        partitions = list(enumerate_partitions(4))
-        assert len(partitions) == bell_number(4) == 15
-        for p in partitions:
-            assert to_partition(p.to_relation()) == p
-        equivalences = {p.to_relation() for p in partitions}
-        assert len(equivalences) == 15
+    def test_round_trip_all_equivalences_of_four(self):
+        equivalences = list(enumerate_equivalences(4))
+        assert len(equivalences) == bell_number(4) == 15
+        assert len(set(equivalences)) == 15
         for e in equivalences:
-            assert to_partition(e).to_relation() == e
+            assert is_equivalence(e)
+            assert Relation.from_blocks(e.carrier, blocks_of(e)) == e
+            assert Relation.from_blocks(e.carrier, reversed(blocks_of(e))) == e
 
-    def test_rejects_non_equivalence(self):
-        with pytest.raises(ValidationError):
-            to_partition(rel([(0, 1)]))
+    def test_block_order_and_point_order_do_not_matter(self):
+        assert Relation.from_blocks(C3, [[2], [1, 0]]) == Relation.from_blocks(C3, [[0, 1], [2]])
 
-
-class TestPartitionInvariants:
-    def test_canonical_block_order(self):
-        p = Partition(C3, [[2], [1, 0]])
-        assert p.blocks == ((0, 1), (2,))
-
-    def test_rejects_overlap(self):
-        with pytest.raises(ValueError):
-            Partition(C3, [[0, 1], [1, 2]])
-
-    def test_rejects_missing_point(self):
-        with pytest.raises(ValueError):
-            Partition(C3, [[0, 1]])
-
-    def test_rejects_empty_block(self):
-        with pytest.raises(ValueError):
-            Partition(C3, [[0, 1, 2], []])
+    @pytest.mark.parametrize("blocks, message", [
+        ([[0, 1], [1, 2]], "blocks overlap"),
+        ([[0, 1]], "blocks do not cover the carrier"),
+        ([[0, 1, 2], []], "empty block"),
+        ([[0, 1], [2, 3]], "block mentions points outside the carrier"),
+    ], ids=["overlap", "missing point", "empty block", "outside"])
+    def test_refusals(self, blocks, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Relation.from_blocks(C3, blocks)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Relation.from_blocks(C3, map(iter, blocks))  # any iterables of points
 
 
-def meet(p, q):
-    """The partition meet, read as the one partition basis of the cover basis {p, q}."""
-    _, parts = has_partition_basis(CoverBasis(p.carrier, map(Cover.from_partition, (p, q))))
-    return parts.covers[0].to_partition()
+def validate_output(payload):
+    """The exit code and stdout of `validate` on a JSON payload."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["validate", "--in", dumps(payload)])
+    return code, out.getvalue()
+
+
+class TestBlocksPayload:
+    """A `blocks` payload is read as the equivalence whose classes are its blocks."""
+
+    def test_blocks_and_pairs_decode_alike_for_every_equivalence_up_to_n4(self):
+        counts = []
+        for n in range(1, 5):
+            equivalences = list(enumerate_equivalences(n))
+            counts.append(len(equivalences))
+            for e in equivalences:
+                blocks = {"n": n, "blocks": blocks_of(e)}
+                pairs = e.to_json()
+                assert Relation.from_json(blocks) == Relation.from_json(pairs) == e
+                assert loads(dumps(blocks)) == e
+                assert validate_output(blocks) == validate_output(pairs) == (
+                    0, '{\n  "valid": true,\n  "violations": []\n}\n'
+                )
+        assert counts == [1, 2, 5, 15]
+
+    def test_a_member_may_be_given_by_its_blocks(self):
+        e = Relation.from_blocks(C3, [[0, 1], [2]])
+        basis = {"n": 3, "entourages": [{"n": 3, "blocks": [[2], [1, 0]]}]}
+        assert DiagonalBasis.from_json(basis) == DiagonalBasis(C3, [e])
+        chain = {"n": 3, "steps": [{"n": 3, "blocks": [[0, 1, 2]]},
+                                   {"n": 3, "blocks": [[0, 1], [2]]}]}
+        assert Chain.from_json(chain) == Chain(C3, [Relation.full(C3), e])
+        with pytest.raises(ValueError, match=r"^entourages\[0\]: blocks overlap$"):
+            DiagonalBasis.from_json({"n": 3, "entourages": [{"n": 3, "blocks": [[0, 1], [1, 2]]}]})
+
+    def test_pairs_win_over_blocks(self):
+        both = {"n": 2, "pairs": [[0, 1]], "blocks": [[0, 1]]}
+        assert Relation.from_json(both) == Relation.from_pairs(Carrier(2), [(0, 1)])
+
+    def test_a_bad_point_is_named_by_its_path(self):
+        for blocks, path, value in (([[0, 1], [5]], "blocks[1][0]", "5"),
+                                    ([[0], [1, -1]], "blocks[1][1]", "-1"),
+                                    ([[0, True]], "blocks[0][1]", "True")):
+            code, out = validate_output({"n": 2, "blocks": blocks})
+            assert code == 2
+            assert f"field '{path}' must be a point index in 0..1, got {value}" in out
+
+    def test_a_refusal_exits_2_with_its_message(self):
+        for blocks, message in (([[0, 1], [1]], "blocks overlap"),
+                                ([[0]], "blocks do not cover the carrier"),
+                                ([[0, 1], []], "empty block")):
+            assert validate_output({"n": 2, "blocks": blocks}) == (
+                2, dumps({"error": message})
+            )
+
+
+def meet(e, f):
+    """The meet of two equivalences, read as the one partition basis of their cover basis."""
+    covers = map(cover_from_relation, (e, f))
+    _, parts = has_partition_basis(CoverBasis(e.carrier, covers))
+    return relation_from_cover(parts.covers[0])
 
 
 class TestMeet:
     def test_crossing_blocks(self):
-        p = Partition(C3, [[0, 1], [2]])
-        q = Partition(C3, [[0], [1, 2]])
-        assert meet(p, q) == Partition(C3, [[0], [1], [2]])
+        p = Relation.from_blocks(C3, [[0, 1], [2]])
+        q = Relation.from_blocks(C3, [[0], [1, 2]])
+        assert meet(p, q) == Relation.identity(C3)
 
     def test_idempotent(self):
-        p = Partition(C3, [[0, 1], [2]])
+        p = Relation.from_blocks(C3, [[0, 1], [2]])
         assert meet(p, p) == p
 
     def test_refinement_absorbs(self):
         c4 = Carrier(4)
-        whole = Partition(c4, [[0, 1, 2, 3]])
-        split = Partition(c4, [[0, 1], [2, 3]])
+        whole = Relation.from_blocks(c4, [[0, 1, 2, 3]])
+        split = Relation.from_blocks(c4, [[0, 1], [2, 3]])
         assert meet(whole, split) == split
 
     def test_laws_on_all_partitions_of_four(self):
-        parts = list(enumerate_partitions(4))
+        parts = list(enumerate_equivalences(4))
         for p in parts:
             for q in parts:
                 m = meet(p, q)
-                assert m == meet(q, p)
-                assert refines(m, p) and refines(m, q)
+                assert m == meet(q, p) == p & q
+                assert m.issubset(p) and m.issubset(q)
                 assert meet(m, q) == m
 
     def test_associative_sampled(self):
-        parts = list(enumerate_partitions(4))
+        parts = list(enumerate_equivalences(4))
         triples = [(parts[i], parts[(i * 7 + 3) % 15], parts[(i * 11 + 5) % 15]) for i in range(15)]
         for p, q, r in triples:
             assert meet(meet(p, q), r) == meet(p, meet(q, r))
 
 
 class TestRefines:
+    """`refines` on the class covers of equivalences is inclusion of the equivalences."""
+
     def test_singletons_refine_everything(self):
-        singles = Partition(C3, [[0], [1], [2]])
-        for p in enumerate_partitions(3):
-            assert refines(singles, p)
+        singles = cover_from_relation(Relation.identity(C3))
+        for p in enumerate_equivalences(3):
+            assert refines(singles, cover_from_relation(p))
 
     def test_not_refining(self):
-        assert not refines(Partition(C3, [[0, 1], [2]]), Partition(C3, [[0], [1, 2]]))
+        p, q = Relation.from_blocks(C3, [[0, 1], [2]]), Relation.from_blocks(C3, [[0], [1, 2]])
+        assert not refines(cover_from_relation(p), cover_from_relation(q))
 
     def test_reflexive(self):
-        for p in enumerate_partitions(3):
-            assert refines(p, p)
+        for p in enumerate_equivalences(3):
+            assert refines(cover_from_relation(p), cover_from_relation(p))
+
+    def test_refinement_is_inclusion_on_all_equivalences_of_four(self):
+        parts = list(enumerate_equivalences(4))
+        for p in parts:
+            for q in parts:
+                assert refines(cover_from_relation(p), cover_from_relation(q)) == p.issubset(q)
+
+    def test_carrier_mismatch(self):
+        with pytest.raises(CarrierMismatch):
+            refines(cover_from_relation(Relation.full(C3)),
+                    cover_from_relation(Relation.full(Carrier(2))))
 
 
 class TestCarrier:
@@ -349,11 +424,10 @@ class TestJson:
         assert obj == {"n": 3, "pairs": [[0, 1], [2, 0]]}
         assert Relation.from_json(obj) == r
 
-    def test_partition_round_trip(self):
-        p = Partition(C3, [[2], [0, 1]])
-        obj = p.to_json()
-        assert obj == {"n": 3, "blocks": [[0, 1], [2]]}
-        assert Partition.from_json(obj) == p
+    def test_blocks_read_as_their_equivalence(self):
+        e = Relation.from_json({"n": 3, "blocks": [[2], [0, 1]]})
+        assert e == Relation.from_blocks(C3, [[0, 1], [2]])
+        assert e.to_json() == {"n": 3, "pairs": [[0, 0], [0, 1], [1, 0], [1, 1], [2, 2]]}
 
     def test_relation_pairs_equal_pairs_generator_on_seeded_relations(self):
         rng = random.Random(64)

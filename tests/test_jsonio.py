@@ -7,7 +7,7 @@ import random
 import pytest
 
 from ultrauniform.cli import main, padic_pseudometric
-from ultrauniform.core import Carrier, Partition, Relation
+from ultrauniform.core import Carrier, Relation
 from ultrauniform.jsonio import detect, dumps, loads, structure_from_json
 from ultrauniform.oracle import theorem_sweep
 from ultrauniform.pseudometric import Chain, Pseudometric, PseudometricSystem, chain_pm
@@ -18,7 +18,7 @@ from ultrauniform.uniformity import Cover, CoverBasis, DiagonalBasis, validate_d
 def test_detection_table():
     cases = [
         ({"n": 2, "pairs": []}, Relation),
-        ({"n": 2, "blocks": [[0], [1]]}, Partition),
+        ({"n": 2, "blocks": [[0], [1]]}, Relation),
         ({"n": 2, "entourages": [{"n": 2, "pairs": [[0, 0], [1, 1]]}]}, DiagonalBasis),
         ({"n": 2, "covers": [[[0, 1]]]}, CoverBasis),
         ({"n": 2, "opens": [[], [0, 1]]}, FiniteTopology),
@@ -66,14 +66,13 @@ def reference(payload) -> str:
 
 
 def readme_structures():
-    """One value of every JSON format that README lists."""
+    """One value of every JSON format that README lists and some verb prints (not blocks)."""
     c3 = Carrier(3)
     e01 = Relation.from_pairs(c3, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 0)])
     basis = DiagonalBasis(c3, [e01, Relation.full(c3)])
     d = Pseudometric(c3, [[0, "1/2", 1], ["1/2", 0, 1], [1, 1, 0]])
     return [
         e01,
-        Partition(c3, [[0, 1], [2]]),
         basis,
         CoverBasis(c3, [Cover(c3, [[0, 1], [1, 2]]), Cover(c3, [[0], [1, 2]])]),
         d,
@@ -129,11 +128,11 @@ def test_dumps_matches_stdlib_on_every_verb(capsys, argv):
 
 
 def seeded_library_payloads():
-    """Relations, partitions, covers, opens and reports drawn from a seed."""
+    """Relations, equivalences, covers, opens and reports drawn from a seed."""
     from ultrauniform.oracle import (
         enumerate_preorder_topologies,
         random_cover_basis,
-        random_partition,
+        random_equivalence,
     )
 
     rng = random.Random(2026)
@@ -144,7 +143,7 @@ def seeded_library_payloads():
         rows = [rng.getrandbits(n) | 1 << x for x in range(n)]
         r = Relation(carrier, rows)
         yield r
-        yield random_partition(rng, n)
+        yield random_equivalence(rng, n)
         yield random_cover_basis(rng, n)
         yield rng.choice(topologies)
         extra = Relation(carrier, [rng.getrandbits(n) | 1 << x for x in range(n)])

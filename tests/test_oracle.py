@@ -1,5 +1,6 @@
 """The enumerators and sweeps themselves, cross-checked two ways each."""
 
+import hashlib
 import random
 import time
 from itertools import combinations
@@ -13,7 +14,7 @@ from ultrauniform.oracle import (
     SweepReport,
     bell_number,
     enumerate_covers,
-    enumerate_partitions,
+    enumerate_equivalences,
     enumerate_preorder_topologies,
     enumerate_relations,
     enumerate_topologies,
@@ -21,6 +22,8 @@ from ultrauniform.oracle import (
     enumerate_valid_cover_bases,
     is_uniformity_filter,
     random_cover_basis,
+    random_equivalence,
+    random_equivalence_basis,
     random_ultrametric,
     random_valid_basis,
     slow_validate_diagonal,
@@ -40,10 +43,10 @@ class TestCounts:
     def test_partition_counts_match_bell_recurrence(self):
         # two independent routes: direct enumeration vs the triangle recurrence
         for n in range(1, 6):
-            assert sum(1 for _ in enumerate_partitions(n)) == bell_number(n)
+            assert sum(1 for _ in enumerate_equivalences(n)) == bell_number(n)
 
     def test_partitions_are_distinct(self):
-        seen = set(enumerate_partitions(4))
+        seen = set(enumerate_equivalences(4))
         assert len(seen) == 15
 
     def test_topology_counts_two_methods_agree(self):
@@ -125,6 +128,27 @@ class TestRandomGenerators:
         a = [random_valid_basis(random.Random(9), 5) for _ in range(5)]
         b = [random_valid_basis(random.Random(9), 5) for _ in range(5)]
         assert a == b
+
+    def test_seeded_draws_and_enumeration_order_are_pinned(self):
+        # seeded sweeps and tests draw from these generators, so a draw or an order may not
+        # move: each takes the classes of an equivalence in order of their least points
+        rng = random.Random(24)
+        draws = hashlib.sha256()
+        for _ in range(60):
+            n = rng.randint(1, 8)
+            for draw in (random_equivalence, random_cover_basis, random_equivalence_basis,
+                         random_valid_basis):
+                draws.update(dumps(draw(rng, n)).encode())
+        assert draws.hexdigest() == (
+            "9a0ed933d68f093ee5691b7209671959e398e24b8f948ab8b2c7d6bfb7b285b7"
+        )
+        orders = hashlib.sha256()
+        for n in range(1, 5):
+            for structure in (*enumerate_equivalences(n), *enumerate_preorder_topologies(n)):
+                orders.update(dumps(structure).encode())
+        assert orders.hexdigest() == (
+            "b4767e8df17ede5042077e227602ea3c0c6d08afb841c808164a403bc3874101"
+        )
 
 
 class TestSweeps:

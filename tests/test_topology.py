@@ -8,7 +8,7 @@ from ultrauniform.core import Carrier, CarrierMismatch, Relation, ValidationErro
 from ultrauniform.oracle import (
     bell_number,
     enumerate_equivalence_bases,
-    enumerate_partitions,
+    enumerate_equivalences,
     enumerate_preorder_topologies,
     enumerate_topologies,
     eq_closure,
@@ -96,8 +96,8 @@ class TestSeparation:
     def test_separating_map_exists_in_separated_spaces(self):
         # whenever separation holds, a clopen set yields a binary map that
         # is 0 at the point and 1 on the closed set
-        for p in enumerate_partitions(3):
-            t = partition_topology(p)
+        for e in enumerate_equivalences(3):
+            t = partition_topology(e)
             assert satisfies_TA(t)[0]
             clopens = clopen_sets(t)
             for a in t.closed_sets():
@@ -141,8 +141,8 @@ class TestUniformityFromMaps:
         assert b.entourages == (Relation.full(Carrier(2)),)
 
     def test_members_are_equivalences_and_basis_valid(self):
-        for p in enumerate_partitions(3):
-            t = partition_topology(p)
+        for e in enumerate_equivalences(3):
+            t = partition_topology(e)
             b = uniformity_from_binary_maps(continuous_binary_maps(t))
             from ultrauniform.core import is_equivalence
 
@@ -196,12 +196,23 @@ class TestInducedTopology:
                 assert is_zero_dimensional(induced_topology(b))
 
     def test_block_count_guard(self):
-        big = Carrier(17)
-        from ultrauniform.core import Partition
+        assert len(partition_topology(Relation.identity(Carrier(16))).opens) == 1 << 16
+        with pytest.raises(ValueError, match="^too many blocks to materialize the open family$"):
+            partition_topology(Relation.identity(Carrier(17)))
 
-        singletons = Partition(big, [[x] for x in range(17)])
-        with pytest.raises(ValueError, match="blocks"):
-            partition_topology(singletons)
+    def test_partition_topology_refuses_a_non_equivalence(self):
+        for r in (Relation.from_pairs(C3, [(0, 1)]), Relation.empty(C3),
+                  Relation.from_pairs(C3, [(0, 0), (1, 1), (2, 2), (0, 1)])):
+            with pytest.raises(ValidationError, match="^relation is not an equivalence relation$"):
+                partition_topology(r)
+
+    def test_partition_topology_is_the_unions_of_classes(self):
+        for n in range(1, 5):
+            for e in enumerate_equivalences(n):
+                classes = set(e.rows)
+                unions = {sum(c for i, c in enumerate(classes) if s >> i & 1)
+                          for s in range(1 << len(classes))}
+                assert partition_topology(e).opens == unions
 
 
 class TestUniformizable:
@@ -216,10 +227,10 @@ class TestUniformizable:
 
     def test_partition_topologies_n_le_4(self):
         for n in range(1, 5):
-            for p in enumerate_partitions(n):
-                ok, witness = is_uniformizable_na(partition_topology(p))
+            for e in enumerate_equivalences(n):
+                ok, witness = is_uniformizable_na(partition_topology(e))
                 assert ok
-                assert induced_topology(witness) == partition_topology(p)
+                assert induced_topology(witness) == partition_topology(e)
 
 
 class TestThreeWayEquivalence:

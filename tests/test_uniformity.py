@@ -11,20 +11,17 @@ import pytest
 from ultrauniform.core import (
     Carrier,
     CarrierMismatch,
-    Partition,
     Relation,
     ValidationError,
     compose,
     inverse,
     is_equivalence,
-    refines,
 )
 from ultrauniform.jsonio import dumps
 from ultrauniform.oracle import (
     enumerate_covers,
     enumerate_equivalence_bases,
     enumerate_equivalences,
-    enumerate_partitions,
     enumerate_relations,
     enumerate_uniformities,
     enumerate_valid_cover_bases,
@@ -32,7 +29,6 @@ from ultrauniform.oracle import (
     random_cover_basis,
     random_equivalence,
     random_equivalence_basis,
-    random_partition,
     random_valid_basis,
     search_na_witness,
     search_partition_basis,
@@ -55,6 +51,7 @@ from ultrauniform.uniformity import (
     is_non_archimedean,
     minimum_entourage,
     normalize,
+    refines,
     relation_from_cover,
     roundtrip,
     uniformity_equal,
@@ -351,9 +348,7 @@ class TestCoverFromDiagonal:
         for e in enumerate_equivalences(4):
             cb = cover_basis_from_diagonal(DiagonalBasis(c4, [e]))
             assert all(c.is_partition for c in cb.covers)
-            assert cb.covers[0].to_partition() == Partition(
-                c4, [list(b) for b in _classes(e)]
-            )
+            assert relation_from_cover(cb.covers[0]) == Relation.from_blocks(c4, _classes(e)) == e
 
 
 def _classes(e):
@@ -419,10 +414,10 @@ class TestDiagonalFromCover:
 
 class TestStarAndValidateCover:
     def test_partition_bases_valid(self):
-        parts = list(enumerate_partitions(3))
+        parts = list(enumerate_equivalences(3))
         for p in parts:
             for q in parts:
-                cb = CoverBasis(C3, [Cover.from_partition(p), Cover.from_partition(q)])
+                cb = CoverBasis(C3, [cover_from_relation(p), cover_from_relation(q)])
                 assert validate_cover(cb).valid
 
     def test_overlapping_chain_invalid(self):
@@ -694,7 +689,7 @@ class TestPrincipalGeneratorAgainstOracle:
             rng.shuffle(covers)  # shuffled and duplicated covers are the same basis
             shuffled = CoverBasis(cb.carrier, covers)
             assert shuffled == cb
-            members = [Cover.from_partition(random_partition(rng, n)) for _ in range(2)]
+            members = [cover_from_relation(random_equivalence(rng, n)) for _ in range(2)]
             valid = check_cover_against_oracle(shuffled, members, random_cover_basis(rng, n))
             r_f = reduce(Relation.__and__, map(relation_from_cover, cb.covers))
             kinds["valid" if valid else "classes" if is_equivalence(r_f) else "not transitive"] += 1
