@@ -14,7 +14,7 @@ from .core import (
     is_equivalence,
     mask_of,
 )
-from .uniformity import DiagonalBasis, ValidationReport, normalize
+from .uniformity import DiagonalBasis, ValidationReport
 
 
 class FiniteTopology:
@@ -35,9 +35,6 @@ class FiniteTopology:
     @property
     def n(self) -> int:
         return self.carrier.n
-
-    def is_open(self, mask: int) -> bool:
-        return mask in self.opens
 
     def closed_sets(self) -> list[int]:
         full = self.carrier.full_mask
@@ -66,46 +63,6 @@ class FiniteTopology:
 
     def __repr__(self) -> str:
         return f"FiniteTopology({self.n}, {len(self.opens)} opens)"
-
-
-class BinaryMap:
-    """A map into {0,1}, stored as the preimage of 1."""
-
-    __slots__ = ("carrier", "ones")
-
-    def __init__(self, carrier: Carrier, ones: int):
-        if ones & ~carrier.full_mask:
-            raise ValueError("preimage mentions points outside the carrier")
-        self.carrier = carrier
-        self.ones = ones
-
-    def value(self, x: int) -> int:
-        return self.ones >> x & 1
-
-    def relation(self) -> Relation:
-        """Pairs on which the map agrees; an equivalence relation."""
-        full = self.carrier.full_mask
-        zeros = full & ~self.ones
-        return Relation(
-            self.carrier,
-            ((self.ones if self.ones >> x & 1 else zeros) for x in range(self.carrier.n)),
-        )
-
-    def is_continuous(self, t: FiniteTopology) -> bool:
-        return t.is_open(self.ones) and t.is_open(t.carrier.full_mask & ~self.ones)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BinaryMap)
-            and self.carrier.n == other.carrier.n
-            and self.ones == other.ones
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.carrier.n, self.ones))
-
-    def __repr__(self) -> str:
-        return f"BinaryMap({self.carrier.n}, ones={sorted(bits(self.ones))})"
 
 
 def validate_topology(t: FiniteTopology) -> ValidationReport:
@@ -144,17 +101,10 @@ def clopen_sets(t: FiniteTopology) -> list[int]:
 
 
 def is_zero_dimensional(t: FiniteTopology) -> bool:
-    """Every open set is a union of clopen sets."""
+    """Every open set is a union of clopen sets, that is, every open set is clopen
+    (a finite union of clopen sets is clopen)."""
     _require_valid(t)
-    clopens = clopen_sets(t)
-    for o in t.opens:
-        covered = 0
-        for c in clopens:
-            if c & ~o == 0:
-                covered |= c
-        if covered != o:
-            return False
-    return True
+    return len(clopen_sets(t)) == len(t.opens)
 
 
 def satisfies_TA(t: FiniteTopology) -> tuple[bool, Optional[tuple[tuple[int, ...], int]]]:
@@ -175,30 +125,20 @@ def satisfies_TA(t: FiniteTopology) -> tuple[bool, Optional[tuple[tuple[int, ...
     return True, None
 
 
-def continuous_binary_maps(t: FiniteTopology) -> list[BinaryMap]:
-    """All continuous maps into the discrete two-point space.
+def quasi_components(t: FiniteTopology) -> Relation:
+    """Q, the AND over the clopen sets of their agreement relations.
 
-    A binary map is continuous iff the preimage of 1 is clopen, so there
-    is one map per clopen set (the constants come from the empty set and
-    the carrier).
+    Row x is the AND, over the clopen sets c, of c when x is in c and of
+    its complement otherwise.  Each agreement relation is an equivalence,
+    so Q is one too; its classes are the quasi-components of t.
     """
     _require_valid(t)
-    return [BinaryMap(t.carrier, c) for c in clopen_sets(t)]
-
-
-def uniformity_from_binary_maps(maps: Iterable[BinaryMap]) -> DiagonalBasis:
-    """The singleton {Q}, Q the AND of the agreement relations of the given maps.
-
-    Each agreement relation is an equivalence, so Q is one too, and it lies
-    inside every member of their intersection closure: {Q} generates the
-    uniformity that closure generates, and Q is its first member in row
-    order (`oracle.slow_intersection_closure` builds the closure).  For the
-    clopen sets of a topology, Q is the partition into quasi-components.
-    """
-    maps = list(maps)
-    if not maps:
-        raise ValueError("need at least one binary map")
-    return normalize(DiagonalBasis(maps[0].carrier, [m.relation() for m in maps]))
+    full = t.carrier.full_mask
+    rows = [full] * t.n
+    for c in clopen_sets(t):
+        for x in range(t.n):
+            rows[x] &= c if c >> x & 1 else full & ~c
+    return Relation._trusted(t.carrier, tuple(rows))
 
 
 def partition_topology(e: Relation) -> FiniteTopology:
@@ -228,12 +168,13 @@ def is_uniformizable_na(
 ) -> tuple[bool, Optional[DiagonalBasis]]:
     """Try to recover t as the induced topology of an equivalence-relation basis.
 
-    The candidate basis is {Q}, built from all continuous binary maps; the
-    topology is uniformizable this way iff that canonical candidate
-    induces it exactly.
+    The candidate basis is {Q}, Q the partition into quasi-components, which
+    generates the uniformity of all continuous maps into the discrete
+    two-point space; the topology is uniformizable this way iff that
+    canonical candidate induces it exactly.
     """
     _require_valid(t)
-    basis = uniformity_from_binary_maps(continuous_binary_maps(t))
+    basis = DiagonalBasis(t.carrier, [quasi_components(t)])
     if induced_topology(basis) == t:
         return True, basis
     return False, None

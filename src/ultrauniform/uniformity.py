@@ -20,7 +20,6 @@ replace are kept in `oracle` as references.
 
 from __future__ import annotations
 
-from functools import reduce
 from itertools import repeat
 from operator import and_, or_
 from typing import Iterable
@@ -310,8 +309,9 @@ def _cover_verdict(cb: CoverBasis) -> tuple[Relation, ValidationReport]:
 
     Points lie together in a set of F, the meet of the covers, iff they lie
     together in a set of every cover, so R_F is F's co-residence and the
-    star of a set f of F is the OR of R_F[x] over x in f.  A step of F
-    that could pass MEET_CAP sets raises ValueError before it is built.
+    star of a set f of F is the OR of R_F[x] over x in f, each distinct
+    row taken once.  A step of F that could pass MEET_CAP sets raises
+    ValueError before it is built.
     """
     rows = relation_from_cover(cb.covers[0]).rows
     for c in cb.covers[1:]:
@@ -325,7 +325,16 @@ def _cover_verdict(cb: CoverBasis) -> tuple[Relation, ValidationReport]:
             if len(meet) * len(c.sets) > MEET_CAP:
                 raise ValueError(f"the meet of the covers is over its cap of {MEET_CAP} sets")
             meet = {x & y for x in meet for y in c.sets} - {0}
-        stars = {reduce(or_, map(rows.__getitem__, bits(f))) for f in meet}
+        owners = {}  # each distinct row of R_F -> the points that have it
+        for x, r in enumerate(rows):
+            owners[r] = owners.get(r, 0) | 1 << x
+        stars = set()
+        for f in meet:  # one step per distinct row met, dropping all the points that have it
+            star = 0
+            while f:
+                r = rows[(f & -f).bit_length() - 1]
+                star, f = star | r, f & ~owners[r]
+            stars.add(star)
     return r_f, ValidationReport(
         ("star_refinement", u.sets_as_lists())
         for u in cb.covers if not all(any(st & ~s == 0 for s in u.sets) for st in stars)

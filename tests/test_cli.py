@@ -196,11 +196,14 @@ class TestJsonSizeCap:
         assert (code, obj) == (2, {"error": f"{field}[0]: {self.message}"})
 
 
-def pinched_covers(k):
-    """The covers {X - {i}, X - {i + k}} of X = 2k points: R_F is not transitive, F has 2^k sets."""
-    full = range(2 * k)
-    return {"n": 2 * k, "covers": [[[x for x in full if x != i], [x for x in full if x != i + k]]
-                                   for i in range(k)]}
+def pinched_covers(k, extra=0):
+    """The covers {X - {i}, X - {i + k}} of X = 2k + extra points.
+
+    R_F is not transitive, and F has 2^k sets, each holding the extra points.
+    """
+    full = range(2 * k + extra)
+    return {"n": len(full), "covers": [[[x for x in full if x != i], [x for x in full if x != i + k]]
+                                       for i in range(k)]}
 
 
 class TestCoverMeetCap:
@@ -214,6 +217,19 @@ class TestCoverMeetCap:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "590882eaa7bef1867f7d48fe04e54ce91823ec3d1ff310a6e3920eb69376e279"
         )
+
+    def test_stars_take_no_longer_as_the_sets_grow(self, capsys):
+        # 200 more points in every set of F leave the distinct rows of R_F at 2k + 1
+        payload = json.dumps(pinched_covers(14, extra=200))
+        started = time.perf_counter()
+        code = main(["validate", "--in", payload])
+        elapsed = time.perf_counter() - started
+        out = capsys.readouterr().out
+        assert code == 1
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "882a3d7bc6886b17d11631b9b3de500c045c684c4e374c447769816bf9c82b02"
+        )
+        assert elapsed < 0.5, elapsed
 
     @pytest.mark.parametrize("argv", [["validate"], ["convert", "--to", "diagonal"], ["roundtrip"]],
                              ids=["validate", "convert", "roundtrip"])

@@ -11,6 +11,7 @@ from ultrauniform.core import Carrier, Relation, is_equivalence
 from ultrauniform.jsonio import dumps
 from ultrauniform.oracle import (
     DEFAULT_SEED,
+    SWEEPS,
     SweepReport,
     bell_number,
     enumerate_covers,
@@ -172,6 +173,18 @@ class TestSweeps:
         expected = SweepReport("T3.2", n, checked, satisfying, 0, None, None)
         report = theorem_sweep("T3.2", n)
         assert dumps(report) == dumps(expected)
+
+    def test_separation_check_on_every_preorder_topology_n5(self):
+        # the CLI caps the sweep at n = 4; the check itself runs past the cap
+        started = time.perf_counter()
+        checked = satisfying = 0
+        for t in enumerate_preorder_topologies(5):
+            holds, problem = SWEEPS["T3.2"].check(t)
+            assert problem is None, t.to_json()
+            checked += 1
+            satisfying += holds
+        assert (checked, satisfying) == (6942, bell_number(5)) == (6942, 52)
+        assert time.perf_counter() - started < 5
 
     @pytest.mark.parametrize("n", [0, 5])
     def test_separation_sweep_cap_and_empty_carrier(self, n):

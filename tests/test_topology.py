@@ -1,10 +1,12 @@
-"""Finite topologies: clopen separation, binary maps, induced uniformities."""
+"""Finite topologies: clopen separation, quasi-components, induced uniformities."""
 
 import random
+from functools import reduce
+from operator import or_
 
 import pytest
 
-from ultrauniform.core import Carrier, CarrierMismatch, Relation, ValidationError
+from ultrauniform.core import Carrier, Relation, ValidationError, is_equivalence
 from ultrauniform.oracle import (
     bell_number,
     enumerate_equivalence_bases,
@@ -14,27 +16,40 @@ from ultrauniform.oracle import (
     eq_closure,
     slow_intersection_closure,
 )
+from ultrauniform import topology
 from ultrauniform.topology import (
-    BinaryMap,
     FiniteTopology,
     chain_topology,
     clopen_sets,
-    continuous_binary_maps,
     discrete_topology,
     indiscrete_topology,
     induced_topology,
     is_uniformizable_na,
     is_zero_dimensional,
     partition_topology,
+    quasi_components,
     satisfies_TA,
     sierpinski_topology,
-    uniformity_from_binary_maps,
     validate_topology,
 )
 from ultrauniform.uniformity import DiagonalBasis, normalize, validate_diagonal
 
 C3 = Carrier(3)
 E01 = eq_closure(Relation.from_pairs(C3, [(0, 1)]))
+
+
+def agreement(carrier, c):
+    """Pairs on which the continuous map into {0,1} with preimage c of 1 agrees."""
+    rest = carrier.full_mask & ~c
+    return Relation(carrier, [c if c >> x & 1 else rest for x in carrier.points])
+
+
+def small_topologies():
+    """All 389 topologies with n <= 4 and a seeded 300 of the 6942 at n = 5."""
+    topologies = [t for n in range(1, 5) for t in enumerate_preorder_topologies(n)]
+    topologies += random.Random(1905).sample(list(enumerate_preorder_topologies(5)), 300)
+    assert len(topologies) == 389 + 300
+    return topologies
 
 
 class TestValidate:
@@ -56,6 +71,18 @@ class TestValidate:
         axioms = {axiom for axiom, _ in report.violations}
         assert axioms == {"union"}
 
+    def test_each_verdict_validates_as_before(self, monkeypatch):
+        # every public function validates its topology: 2 + 2 + 3 per topology
+        calls = []
+        monkeypatch.setattr(topology, "validate_topology",
+                            lambda t: calls.append(t) or validate_topology(t))
+        t = discrete_topology(3)
+        counts = []
+        for verdict in (satisfies_TA, is_zero_dimensional, is_uniformizable_na):
+            verdict(t)
+            counts.append(len(calls))
+        assert counts == [2, 4, 7]
+
 
 class TestClopenAndZeroDim:
     def test_discrete_all_clopen(self):
@@ -73,6 +100,13 @@ class TestClopenAndZeroDim:
         t = indiscrete_topology(3)
         assert clopen_sets(t) == [0, 0b111]
         assert is_zero_dimensional(t)
+
+    def test_zero_dimensional_against_its_definition(self):
+        # each open set is the union of the clopen sets inside it
+        for t in small_topologies():
+            clopens = clopen_sets(t)
+            unions = all(o == reduce(or_, (c for c in clopens if c & ~o == 0), 0) for o in t.opens)
+            assert is_zero_dimensional(t) == unions, t.to_json()
 
 
 class TestSeparation:
@@ -94,8 +128,9 @@ class TestSeparation:
             satisfies_TA(FiniteTopology(Carrier(2), [0b00]))
 
     def test_separating_map_exists_in_separated_spaces(self):
-        # whenever separation holds, a clopen set yields a binary map that
-        # is 0 at the point and 1 on the closed set
+        # whenever separation holds, a clopen set's complement is the preimage
+        # of 1 of a continuous map into {0,1} that is 0 at the point and 1 on
+        # the closed set
         for e in enumerate_equivalences(3):
             t = partition_topology(e)
             assert satisfies_TA(t)[0]
@@ -105,76 +140,62 @@ class TestSeparation:
                     if a >> x & 1:
                         continue
                     u2 = next(c for c in clopens if c >> x & 1 and c & a == 0)
-                    f = BinaryMap(t.carrier, t.carrier.full_mask & ~u2)
-                    assert f.is_continuous(t)
-                    assert f.value(x) == 0
-                    assert all(f.value(y) == 1 for y in range(3) if a >> y & 1)
+                    ones = t.carrier.full_mask & ~u2
+                    assert ones in t.opens and u2 in t.opens
+                    assert ones >> x & 1 == 0
+                    assert a & ~ones == 0
 
 
 class TestContinuousMaps:
+    # a continuous map into the discrete {0,1} is its clopen preimage of 1
     def test_sierpinski_has_only_constants(self):
-        maps = continuous_binary_maps(sierpinski_topology())
-        assert len(maps) == 2
-        assert {m.ones for m in maps} == {0b00, 0b11}
+        assert clopen_sets(sierpinski_topology()) == [0b00, 0b11]
 
     def test_discrete_two_points(self):
-        assert len(continuous_binary_maps(discrete_topology(2))) == 4
+        assert len(clopen_sets(discrete_topology(2))) == 4
 
     def test_indiscrete_any_size(self):
         for n in (2, 3, 5):
-            assert len(continuous_binary_maps(indiscrete_topology(n))) == 2
+            assert len(clopen_sets(indiscrete_topology(n))) == 2
 
 
 class TestUniformityFromMaps:
+    # the uniformity of the continuous maps into {0,1} is principal at Q
     def test_constants_give_indiscrete(self):
-        c = Carrier(3)
-        maps = [BinaryMap(c, 0), BinaryMap(c, c.full_mask)]
-        b = uniformity_from_binary_maps(maps)
-        assert b.entourages == (Relation.full(c),)
+        assert quasi_components(indiscrete_topology(3)) == Relation.full(C3)
 
     def test_discrete_two_points_contains_identity(self):
-        b = uniformity_from_binary_maps(continuous_binary_maps(discrete_topology(2)))
-        assert Relation.identity(Carrier(2)) in b.entourages
+        assert quasi_components(discrete_topology(2)) == Relation.identity(Carrier(2))
 
     def test_sierpinski_gives_indiscrete(self):
-        b = uniformity_from_binary_maps(continuous_binary_maps(sierpinski_topology()))
-        assert b.entourages == (Relation.full(Carrier(2)),)
+        assert quasi_components(sierpinski_topology()) == Relation.full(Carrier(2))
 
     def test_members_are_equivalences_and_basis_valid(self):
         for e in enumerate_equivalences(3):
-            t = partition_topology(e)
-            b = uniformity_from_binary_maps(continuous_binary_maps(t))
-            from ultrauniform.core import is_equivalence
+            q = quasi_components(partition_topology(e))
+            assert is_equivalence(q) and q == e
+            assert validate_diagonal(DiagonalBasis(C3, [q])).valid
 
-            assert all(is_equivalence(e) for e in b.entourages)
-            assert validate_diagonal(b).valid
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            uniformity_from_binary_maps([])
-
-    def test_carrier_mismatch(self):
-        with pytest.raises(CarrierMismatch):
-            uniformity_from_binary_maps([BinaryMap(C3, 0b001), BinaryMap(Carrier(2), 0b01)])
+    def test_rejects_invalid_topology(self):
+        with pytest.raises(ValidationError):
+            quasi_components(FiniteTopology(Carrier(2), [0b00]))
 
     def test_principal_generator_against_slow_closure(self):
-        # {Q} generates what the closure of the agreement relations does, and
+        # Q generates what the closure of the agreement relations does, and
         # Q is that closure's first member: the uniformize witness it replaces
         # was the whole closure, and its verdict came from the closure too
-        topologies = [t for n in range(1, 5) for t in enumerate_preorder_topologies(n)]
-        topologies += random.Random(1905).sample(list(enumerate_preorder_topologies(5)), 300)
         uniformizable = 0
-        for t in topologies:
-            maps = continuous_binary_maps(t)
-            closure = slow_intersection_closure(m.relation() for m in maps)
+        for t in small_topologies():
+            q = quasi_components(t)
+            closure = slow_intersection_closure(agreement(t.carrier, c) for c in clopen_sets(t))
             slow = DiagonalBasis(t.carrier, closure)
-            assert uniformity_from_binary_maps(maps) == normalize(slow), t.to_json()
+            assert normalize(slow).entourages == (q,), t.to_json()
             ok, witness = is_uniformizable_na(t)
             assert ok == (induced_topology(slow) == t), t.to_json()
             if ok:
                 assert witness.entourages == closure[:1], t.to_json()
             uniformizable += ok
-        assert len(topologies) == 389 + 300 and uniformizable >= 23, uniformizable
+        assert uniformizable >= 23, uniformizable
 
 
 class TestInducedTopology:
