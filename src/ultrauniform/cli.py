@@ -125,10 +125,10 @@ def _check_na(b) -> tuple[int, dict]:
     return EXIT_OK, {"non_archimedean": ok, "witness": witness.to_json()}
 
 
-def _metrize(b) -> tuple[int, dict]:
+def _metrize(b) -> tuple[int, Pseudometric]:
     from .pseudometric import metrize
 
-    return EXIT_OK, metrize(b.entourages).to_json()
+    return EXIT_OK, metrize(b.entourages)
 
 
 def _pm_system(b) -> tuple[int, dict]:
@@ -200,13 +200,13 @@ def _capped(option: str, value):
     return value
 
 
-def _cmd_gen(args) -> tuple[int, dict]:
+def _cmd_gen(args) -> tuple[int, dict | Pseudometric]:
     # each kind checks only the options it reads
     if args.kind == "padic":
         size = _capped("--size", args.size) if args.size is not None else _capped("--n", args.n)
         if size is None:
             raise ValueError("gen padic needs --size (or --n)")
-        return EXIT_OK, padic_pseudometric(args.p, size).to_json()
+        return EXIT_OK, padic_pseudometric(args.p, size)
     if args.kind == "ideal-chain":
         modulus, depth = _capped("--modulus", args.modulus), _capped("--depth", args.depth)
         return EXIT_OK, ideal_chain_basis(modulus, args.ideal, depth).to_json()

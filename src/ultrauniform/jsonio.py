@@ -1,13 +1,13 @@
 """JSON encoding, decoding, and type detection for all structures.
 
 Detection imports only the module of the structure it finds, so reading a
-payload loads no other layer.  `dumps` renders the library's payload
-shapes (str-keyed dicts, lists, tuples, ints, bools, None and strings) with
-a small writer of its own, byte for byte as
-`json.dumps(payload, indent=2, sort_keys=True)` would; that call selects
-the stdlib's pure-Python encoder, which is slower and leaves a reference
-cycle behind on every call.  Any other value is a TypeError, save the
-str subclass cells of `_render_rows`.
+payload loads no other layer.  `dumps` renders the library's payload shapes
+(str-keyed dicts, lists, tuples, ints, bools, None and strings) with a small
+writer of its own, byte for byte as `json.dumps(payload, indent=2,
+sort_keys=True)` would; that call selects the stdlib's pure-Python encoder,
+which is slower and leaves a reference cycle behind on every call.  Any
+other value is a TypeError, save the str subclass cells of `_render_rows`;
+a `Pseudometric`'s `dist` is rendered from its grid, not its `to_json()`.
 """
 
 from __future__ import annotations
@@ -51,28 +51,31 @@ def loads(text: str):
     return structure_from_json(json.loads(text))
 
 
-def _render_rows(rows, nl: str):
+def _render_rows(rows, nl: str, cells=None):
     """Rendered rows, or None for rows that need the general renderer.
 
-    Str rows (distance tables) are quoted once per distinct cell; another
+    Given `cells`, each row is one join of its cells' texts.  Without it,
+    str rows (distance tables) are quoted once per distinct cell; another
     cell fails the set, the quote or the type test of the distinct cells (a
     str subclass cell equal to a str cell renders as json.dumps renders it).
     Int rows of one length (pairs) share one %-format after a type pass.
     """
     inner = nl + "  "
     sep = "," + inner
-    if rows[0] and type(rows[0][0]) is str:
+    if cells is None and rows[0] and type(rows[0][0]) is str:
         try:
             distinct = set().union(*rows)
-            quoted = dict(zip(distinct, map(_quote, distinct)))
+            cells = dict(zip(distinct, map(_quote, distinct)))
         except TypeError:
             return None
-        if set(map(type, quoted)) == {str} and all(rows):
-            return ["[" + inner + sep.join(map(quoted.__getitem__, row)) + nl + "]" for row in rows]
-    elif set(map(type, chain.from_iterable(rows))) == {int} and len(set(map(len, rows))) == 1:
+        if set(map(type, cells)) != {str} or not all(rows):
+            return None
+    elif cells is None:
+        if set(map(type, chain.from_iterable(rows))) != {int} or len(set(map(len, rows))) != 1:
+            return None
         row_format = "[" + inner + sep.join(["%d"] * len(rows[0])) + nl + "]"
         return map(row_format.__mod__, map(tuple, rows))
-    return None
+    return ["[" + inner + sep.join(map(cells.__getitem__, row)) + nl + "]" for row in rows]
 
 
 def _render(value, nl: str) -> str:
@@ -118,6 +121,9 @@ def _render(value, nl: str) -> str:
 
 def dumps(payload) -> str:
     """Deterministic rendering used for every artifact this package writes."""
+    if hasattr(payload, "grid"):  # a Pseudometric: `dist` straight from its grid
+        rows = _render_rows(payload.grid, "\n    ", payload._texts('"'))
+        return '{\n  "dist": [\n    ' + ",\n    ".join(rows) + f'\n  ],\n  "n": {payload.n}\n}}\n'
     if hasattr(payload, "to_json"):
         payload = payload.to_json()
     return _render(payload, "\n") + "\n"

@@ -5,14 +5,15 @@ thresholds never suffer float ties.  A table is stored only as an integer
 grid over one common denominator (`scale`), in lowest terms: `scale` is the
 lcm of the reduced denominators, so equal tables have equal grids.
 `Fraction`s appear only at the boundary: the public constructor parses each
-distinct string or int cell once, and `dist`, `d()`, `values()` and
-`to_json()` build `Fraction`s or "p/q" strings from the grid on each call,
-once per distinct grid value.  A parsed table is checked on its grid, with
-each row packed into one int, in fields of 8, 16, 32 or 64 bits so that a
-row packs at C speed from one `bytes` or `array` (only larger entries are
-packed through a string): a table with at most n distinct values is first
-tested for the strong triangle inequality, one big-int expression per
-distinct value of each row, and passes as an ultrametric (hence a
+distinct string or int cell once and reads `Fraction` cells from their slots
+into the grid; `dist`, `d()`, `values()`, `to_json()` and `jsonio.dumps` build
+`Fraction`s or "p/q" strings from the grid, once per distinct grid value.  A
+parsed table is checked on its grid, with each row packed into one int, in
+fields of 8, 16, 32 or 64 bits so that a row packs at C speed from one
+`bytes` or `array` (only larger entries are packed through a string): a
+table with at most n distinct values is first tested for the strong
+triangle inequality, one big-int expression per distinct value of each row
+(stopping at 2n distinct balls), and passes as an ultrametric (hence a
 pseudo-metric).  Only a table with more values, or one that fails there,
 runs the triangle scan of one big-int expression per pair of points, which
 names its first failing (z, x, y); the scan's fields may need one bit more
@@ -37,7 +38,7 @@ from array import array
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import chain, compress
-from operator import not_
+from operator import attrgetter, mul, not_
 from typing import Sequence
 
 from .core import (
@@ -91,6 +92,8 @@ def _as_fraction(value, what: str) -> Fraction:
 
 # array type code per field width in bits, for rows packed at C speed
 _FIELDS = {8 * array(code).itemsize: code for code in "HLIQ"}
+# a Fraction's numerator and denominator, read from its slots at C speed
+_NUM, _DEN = attrgetter("_numerator"), attrgetter("_denominator")
 
 
 def _ratio(value) -> tuple[int, int]:
@@ -134,25 +137,28 @@ def _is_ultrametric(grid: Sequence[Sequence[int]], w: int, packed: Sequence[int]
     (packed[x] | guards) - (v + 1) * ones mark the columns outside it: field
     y holds guard + grid[x][y] - 1 - v >= guard - 1 - m >= 0, so no field
     borrows from the next.  In an ultrametric every point of a ball B has B
-    among its own balls.
-    Conversely, if it does, then d(x,z) > max(d(x,y), d(y,z)) is impossible:
-    the ball {u | d(x,u) < d(x,z)} holds y but not z, so as a ball of y it
-    gives d(y,z) > d(y,x), and the ball {u | d(z,u) < d(x,z)} of z gives
-    d(y,x) > d(y,z).  A point lies in each of its balls and has each once,
-    so a ball B belongs to at most |B| points, and to all of them iff the
-    sizes of the distinct balls add up to the number of (point, ball) pairs.
-    That is sum_x |set(grid[x])| big-int steps, against n^2 for the scan.
+    among its own balls.  Conversely, if it does, then d(x,z) > max(d(x,y),
+    d(y,z)) is impossible: the ball {u | d(x,u) < d(x,z)} holds y but not z, so
+    as a ball of y it gives d(y,z) > d(y,x), and the ball {u | d(z,u) < d(x,z)}
+    of z gives d(y,x) > d(y,z).  A point lies in each of its balls and has each
+    once, so a ball B belongs to at most |B| points, and to all of them iff the
+    sizes of the distinct balls add up to the number of (point, ball) pairs:
+    sum_x |set(grid[x])| big-int steps (n^2 for the scan), or fewer, as an
+    ultrametric's balls form a hierarchy and the test stops at 2n of them.
     """
     n = len(grid)
     ones = ((1 << w * n) - 1) // ((1 << w) - 1)
     guards = ones << (w - 1)
-    outside = []  # per (point, ball): the guard bits of the columns outside the ball
+    balls, pairs = set(), 0  # each distinct ball as the guard bits of the columns outside it
     for row, bits in zip(grid, packed):
         biased = (bits | guards) - ones
-        for v in set(row):
-            outside.append((biased - v * ones) & guards)
-    balls = set(outside)
-    return n * len(balls) - sum(map(int.bit_count, balls)) == len(outside)
+        values = set(row)
+        pairs += len(values)  # (point, ball) pairs
+        for v in values:
+            balls.add((biased - v * ones) & guards)
+        if len(balls) >= 2 * n:  # a hierarchy on n points has at most 2n - 1 members
+            return False
+    return n * len(balls) - sum(map(int.bit_count, balls)) == pairs
 
 
 def _triangle_failure(
@@ -201,19 +207,21 @@ class Pseudometric:
         kinds = set(map(type, chain.from_iterable(dist)))
         try:
             if kinds <= {str, int}:
-                # one parse per distinct cell: an exact str or int equals no cell
-                # of the other kind, while True == 1 would share 1's parse (and
-                # a Fraction hashes in Python, slower than parsing it again)
+                # one parse per distinct cell: no str equals an int, but True would share 1's
                 ratio = {v: _ratio(v) for v in set().union(*dist)}
-                cells = dist
-            else:  # each cell becomes a (p, q) pair, and equal pairs hash alike in C
-                as_ratio = Fraction.as_integer_ratio if kinds == {Fraction} else _ratio
-                cells = [list(map(as_ratio, row)) for row in dist]
-                distinct = set(chain.from_iterable(cells))
-                ratio = dict(zip(distinct, distinct))
-            scale = math.lcm(*{q for _, q in ratio.values()})
-            value = {v: p * (scale // q) for v, (p, q) in ratio.items()}
-            grid = [tuple(map(value.__getitem__, row)) for row in cells]
+                scale = math.lcm(*{q for _, q in ratio.values()})
+                value = {v: p * (scale // q) for v, (p, q) in ratio.items()}
+                grid = [tuple(map(value.__getitem__, row)) for row in dist]
+            else:  # straight to the grid, each cell p/q as p * (scale // q)
+                cells = list(chain.from_iterable(dist))
+                if kinds == {Fraction}:  # p and q read from the slots at C speed
+                    num, den = map(_NUM, cells), list(map(_DEN, cells))
+                else:  # each cell parsed on its own
+                    num, den = zip(*map(_ratio, cells))
+                factor = set(den)
+                scale = math.lcm(*factor)
+                factor = {q: scale // q for q in factor}
+                grid = list(zip(*[map(mul, num, map(factor.__getitem__, den))] * n))  # rows of n
         except ValueError:  # parse again, naming each cell, to report the first refused one
             for x, row in enumerate(dist):
                 for y, v in enumerate(row):
@@ -292,13 +300,14 @@ class Pseudometric:
         positive = sorted(set().union(*self.grid))[1:]  # every table has a 0 on its diagonal
         return [Fraction(g, self.scale) for g in positive]
 
-    def to_json(self) -> dict:
-        """Each distinct grid value is rendered once as a reduced "p/q"."""
+    def _texts(self, quote: str = "") -> dict[int, str]:
+        """Each distinct grid value as a reduced "p/q" in `quote`s (jsonio.dumps passes '"')."""
         scale = self.scale
-        text = {}
-        for g in set().union(*self.grid):
-            c = math.gcd(g, scale)
-            text[g] = f"{g // c}/{scale // c}"
+        return {g: f"{quote}{g // (c := math.gcd(g, scale))}/{scale // c}{quote}"
+                for g in set().union(*self.grid)}
+
+    def to_json(self) -> dict:
+        text = self._texts()
         return {"n": self.n, "dist": [list(map(text.__getitem__, row)) for row in self.grid]}
 
     @classmethod
@@ -340,9 +349,9 @@ def sup_pm(ds: Sequence[Pseudometric]) -> Pseudometric:
         raise ValueError("sup of an empty family")
     carrier = same_carrier(*ds)
     scale = math.lcm(*(d.scale for d in ds))
-    grids = [_grid_at(d, scale) for d in ds]
-    # the first grid twice, so that max takes at least two rows for one metric
-    grid = [tuple(map(max, *rows)) for rows in zip(grids[0], *grids)]
+    grid, *others = [_grid_at(d, scale) for d in ds]
+    for other in others:  # one comparison per cell
+        grid = [tuple([a if a > b else b for a, b in zip(r, s)]) for r, s in zip(grid, other)]
     return Pseudometric._from_grid(carrier, grid, scale, all(d._na for d in ds))
 
 

@@ -9,8 +9,16 @@ import pytest
 from ultrauniform.cli import main, padic_pseudometric
 from ultrauniform.core import Carrier, Relation
 from ultrauniform.jsonio import detect, dumps, loads, structure_from_json
-from ultrauniform.oracle import theorem_sweep
-from ultrauniform.pseudometric import Chain, Pseudometric, PseudometricSystem, chain_pm
+from ultrauniform.oracle import random_equivalence, random_ultrametric, theorem_sweep
+from ultrauniform.pseudometric import (
+    Chain,
+    Pseudometric,
+    PseudometricSystem,
+    chain_pm,
+    descending_chain,
+    metrize,
+    sup_pm,
+)
 from ultrauniform.topology import FiniteTopology
 from ultrauniform.uniformity import Cover, CoverBasis, DiagonalBasis, validate_diagonal
 
@@ -245,6 +253,59 @@ def test_dumps_matches_stdlib_on_seeded_payloads():
         assert dumps(payload) == reference(payload)
 
 
+# A Pseudometric renders its `dist` straight from its grid, through the row
+# writer of string tables; the stdlib's rendering of `to_json()` is the reference.
+
+
+def grid_tables():
+    """p-adic, metrize, chain and sup tables, and tables parsed from every cell kind."""
+    from fractions import Fraction
+
+    for p in (2, 3, 5):
+        for size in (1, 2, 64, 128):
+            yield padic_pseudometric(p, size)
+    rng = random.Random(2630)
+    for _ in range(40):
+        n = rng.randint(1, 12)
+        carrier = Carrier(n)
+        es = [random_equivalence(rng, n) for _ in range(rng.randint(1, 4))]
+        yield metrize(es)
+        yield chain_pm(descending_chain(es))
+        u = random_ultrametric(rng, n)
+        yield u
+        # mixed scales: a power of p, the lcm of the chain depths and the dendrogram's heights
+        yield sup_pm([padic_pseudometric(rng.choice([2, 3, 5]), n), metrize(es)])
+        yield sup_pm([u, random_ultrametric(rng, n), chain_pm(descending_chain(es))])
+        yield Pseudometric(carrier, u.to_json()["dist"])
+        yield Pseudometric(carrier, [[abs(a - b) * 3 for b in range(n)] for a in range(n)])
+        yield Pseudometric(carrier, [[Fraction(abs(a - b), 7) for b in range(n)] for a in range(n)])
+    for cell in (0, "0", "0/5", Fraction(0)):
+        yield Pseudometric(Carrier(1), [[cell]])
+
+
+def test_dumps_matches_stdlib_on_grid_tables():
+    for d in grid_tables():
+        assert dumps(d) == reference(d.to_json())
+
+
+def test_dumps_matches_stdlib_on_systems_of_grid_tables():
+    tables = list(grid_tables())
+    for n in {d.n for d in tables}:
+        system = PseudometricSystem(Carrier(n), [d for d in tables if d.n == n])
+        assert dumps(system) == reference(system.to_json())
+
+
+def test_dumps_renders_a_table_without_its_to_json(monkeypatch):
+    tables = list(grid_tables())
+    expected = [reference(d.to_json()) for d in tables]
+
+    def refused(self):
+        raise AssertionError("to_json called")
+
+    monkeypatch.setattr(Pseudometric, "to_json", refused)
+    assert [dumps(d) for d in tables] == expected
+
+
 Text = type("Text", (str,), {})
 
 
@@ -276,7 +337,7 @@ def test_a_str_subclass_cell_equal_to_a_str_cell_of_a_table_renders_as_the_stdli
 
 
 def test_dumps_leaves_no_garbage():
-    payloads = [s.to_json() for s in readme_structures()]
+    payloads = [s.to_json() for s in readme_structures()] + list(grid_tables())
     gc.collect()
     gc.disable()
     try:

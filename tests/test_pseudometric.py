@@ -988,18 +988,22 @@ class TestGridBuilders:
     def test_sup_matches_fraction_maximum(self, count):
         rng = random.Random(40 + count)
         makers = [
-            ultrametric_fractions,
-            lambda rng, n: shortest_path_metric(rng, n, small_weight),
-            lambda rng, n: shortest_path_metric(rng, n, big_weight),
+            random_ultrametric,
+            lambda rng, n: chain_pm(Chain(Carrier(n), random_chain_steps(rng, n, rng.randint(0, 4)))),
+            lambda rng, n: pm(shortest_path_metric(rng, n, small_weight), n=n),
+            lambda rng, n: pm(shortest_path_metric(rng, n, big_weight), n=n),
         ]
-        for _ in range(60):
+        verdicts = set()
+        for _ in range(1000 // (3 * count) + 1):  # about 1000 tables over the three counts
             n = rng.randint(1, 9)
-            tables = [rng.choice(makers)(rng, n) for _ in range(count)]
-            ds = [Pseudometric(Carrier(n), t) for t in tables]
-            reference = [
-                [max(t[x][y] for t in tables) for y in range(n)] for x in range(n)
-            ]
-            assert_same_table(sup_pm(ds), reference)
+            ds = [rng.choice(makers)(rng, n) for _ in range(count)]
+            reference = [[max(d.dist[x][y] for d in ds) for y in range(n)] for x in range(n)]
+            s = sup_pm(ds)
+            assert_same_table(s, reference)
+            # a sup of ultrametrics is one by proof; any other sup keeps the test's verdict
+            assert is_na(s) == check_strong_triangle(reference)
+            verdicts.add(is_na(s))
+        assert verdicts == {True, False}
 
     def test_sup_keeps_the_scale_of_the_values_it_takes(self):
         halves = [[Fraction(0) if x == y else Fraction(1, 2) for y in range(3)] for x in range(3)]
@@ -1151,6 +1155,109 @@ class TestFractionAndMixedTables:
                 table[x][y] = True
                 with pytest.raises(ValueError, match=rf"field 'dist\[{x}\]\[{y}\]' is not an"):
                     pm(table, n=n)
+
+
+# A table of exact Fractions goes straight to the grid, reading each cell's
+# slots; every other mix of kinds goes through `_ratio`.  The all-string
+# table of the same distances is the reference, refusals included.
+
+
+def parse_outcome(table, n):
+    """(scale, grid) of the parsed table, or the message it is refused with."""
+    try:
+        d = pm(table, n=n)
+    except ValueError as exc:
+        return str(exc)
+    return d.scale, d.grid
+
+
+def seeded_parse_tables(rng, count):
+    """`count` Fraction tables: ultrametrics, path metrics, and broken, negative or asymmetric copies."""
+    makers = [
+        ultrametric_fractions,
+        lambda rng, n: shortest_path_metric(rng, n, small_weight),
+        lambda rng, n: shortest_path_metric(rng, n, big_weight),
+    ]
+    for _ in range(count):
+        n = rng.randint(1, 12)
+        dist = rng.choice(makers)(rng, n)
+        if n > 1 and rng.random() < 0.3:
+            x, y = rng.sample(range(n), 2)
+            dist[x][y] = rng.choice([-dist[x][y] - 1, dist[x][y] + Fraction(1, 5), Fraction(10**6)])
+        yield dist
+
+
+class TestFractionGridParse:
+    def test_shared_and_fresh_fractions_parse_as_their_strings(self):
+        rng = random.Random(2601)
+        refused = 0
+        for dist in seeded_parse_tables(rng, 1000):
+            n = len(dist)
+            text = [[f"{v.numerator}/{v.denominator}" for v in row] for row in dist]
+            expected = parse_outcome(text, n)
+            shared, fresh, _ = three_spellings(rng, dist)
+            assert parse_outcome(shared, n) == expected
+            assert parse_outcome(fresh, n) == expected
+            refused += isinstance(expected, str)
+        assert 100 < refused < 500
+
+    def test_the_fraction_parse_reads_the_private_slots(self):
+        from ultrauniform.pseudometric import _DEN, _NUM
+
+        assert Fraction.__slots__ == ("_numerator", "_denominator")
+        for v in [Fraction(0), Fraction(-3, 6), Fraction(7), Fraction(2**70 + 1, 3**40)]:
+            assert (_NUM(v), _DEN(v)) == (v.numerator, v.denominator)
+
+    def test_other_mixes_of_kinds_go_through_ratio(self, monkeypatch):
+        import ultrauniform.pseudometric as pseudometric
+
+        calls = []
+        ratio = pseudometric._ratio
+        monkeypatch.setattr(pseudometric, "_ratio", lambda v: calls.append(v) or ratio(v))
+
+        class Sub(Fraction):
+            pass
+
+        half = Fraction(1, 2)
+        pm([[Fraction(0), half, half], [half, Fraction(0), half], [half, half, Fraction(0)]])
+        assert calls == []
+        for zero, far in ([Sub(0), Sub(1, 2)], [0, half], [Sub(0), half], [Fraction(0), 1]):
+            table = [[zero, far, far], [far, zero, far], [far, far, zero]]
+            outcome = parse_outcome(table, 3)
+            assert len(calls) == 9
+            assert outcome == parse_outcome([[str(Fraction(v)) for v in row] for row in table], 3)
+            calls.clear()
+
+    @pytest.mark.parametrize("bad", [True, False, 0.5, 1.0])
+    @pytest.mark.parametrize("other", [Fraction(1, 2), 1, "1/2"])
+    def test_bools_and_floats_next_to_fractions_are_refused_by_their_cell(self, bad, other):
+        table = [[Fraction(0), other, Fraction(1, 2)], [other, Fraction(0), bad], [Fraction(1, 2), bad, 0]]
+        with pytest.raises(ValueError, match=rf"field 'dist\[1\]\[2\]' is not an exact rational: {bad!r}$"):
+            pm(table)
+
+
+class TestUltrametricTestMemory:
+    def test_line_metric_at_400_points_peaks_under_10_mb(self):
+        import tracemalloc
+
+        n = 400
+        dist = [[abs(a - b) for b in range(n)] for a in range(n)]
+        tracemalloc.start()
+        try:
+            d = Pseudometric(Carrier(n), dist)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not is_na(d)
+        assert peak < 10 * 10**6
+
+    def test_an_ultrametric_has_at_most_2n_minus_1_distinct_balls(self):
+        rng = random.Random(2620)
+        for _ in range(200):
+            n = rng.randint(1, 16)
+            d = random_ultrametric(rng, n)
+            balls = {masks for _, masks in _level_balls(d.grid)}
+            assert len(set().union(*balls)) <= 2 * n - 1
 
 
 # Ball relations are read from each table's level balls; these tests hold
